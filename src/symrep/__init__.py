@@ -27,13 +27,10 @@ from .optim import Adam, AdamState, adam_step
 from .rotations import (
     canonical_angles,
     compose_representation,
-    entanglement_backward,
-    entanglement_metric,
     entanglement_penalty,
     plane_count,
     plane_indices,
     plane_rotation,
-    representation_backward,
     rotate_vectors,
     rotation_matrices,
 )

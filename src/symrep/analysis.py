@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .environments import sample_trajectory
+from .environments import sample_trajectory, stack_batch
 from .rotations import canonical_angles, plane_indices
 from .tensor import sigmoid
 
@@ -158,11 +158,11 @@ def equivariance_error(model, env, samples: int = 1000, seed: int = 0) -> Equiva
     return EquivarianceStats(float(errors.mean()), float(errors.max()), len(errors))
 
 
-def bce_probabilities(probs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean binary cross-entropy of probabilities (clipped) against targets."""
+def bce_probabilities(probs: np.ndarray, targets: np.ndarray) -> float | np.ndarray:
+    """Mean binary cross-entropy of probabilities (clipped) against targets over the last axis."""
     p = np.clip(probs, 1e-12, 1.0 - 1e-12)
     t = np.asarray(targets, dtype=np.float64)
-    return float(-(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)).mean())
+    return -(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)).mean(axis=-1)
 
 
 @dataclass
@@ -197,6 +197,14 @@ def _ci_half_width(values: np.ndarray) -> np.ndarray:
     return 1.96 * values.std(axis=0, ddof=1) / np.sqrt(count)
 
 
+# Held-out trials are scored in batches of at most this many observation
+# entries (trials x horizon x obs_dim; at least one trial). That is fewer than
+# a training batch of 16 trajectories holds on the 5x5 torus at m=10
+# (16 x 11 x 25), so scoring never raises the peak memory that training sets,
+# whatever the number of trials.
+_EVAL_BATCH_ENTRIES = 1 << 12
+
+
 def rollout_error_curve(
     named_models,
     env,
@@ -209,26 +217,29 @@ def rollout_error_curve(
     """Prediction error per rollout step for several models on shared episodes.
 
     ``named_models`` is a list of (name, model) pairs; each model must expose
-    ``predict_sequence(trajectory) -> (horizon, obs_dim)`` probabilities.
-    Every trial draws one random action sequence from the start state and
-    evaluates all models on it, so the comparison is paired.
+    ``predict_sequence(trajectories) -> (trials, horizon, obs_dim)``
+    probabilities. Every trial draws one random action sequence from the
+    start state and evaluates all models on it, so the comparison is paired.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 2])))
     start_state = env.center_state() if start == "center" else None
-    names = [name for name, _ in named_models]
-    bce = {name: np.empty((trials, horizon)) for name in names}
-    acc = {name: np.empty((trials, horizon)) for name in names}
-    for trial in range(trials):
-        traj = sample_trajectory(env, rng, horizon, start_state, angle_range)
-        truth = traj.observations[1:]
+    chunk = max(1, _EVAL_BATCH_ENTRIES // (horizon * env.observation_dim))
+    bce = {name: np.empty((trials, horizon)) for name, _ in named_models}
+    acc = {name: np.empty((trials, horizon)) for name, _ in named_models}
+    for lo in range(0, trials, chunk):
+        batch = [
+            sample_trajectory(env, rng, horizon, start_state, angle_range)
+            for _ in range(min(chunk, trials - lo))
+        ]
+        truth = stack_batch(batch)[0][:, 1:]
+        rows = slice(lo, lo + len(batch))
         for name, model in named_models:
-            preds = model.predict_sequence(traj)
-            for k in range(horizon):
-                bce[name][trial, k] = bce_probabilities(preds[k], truth[k])
-                acc[name][trial, k] = float(np.argmax(preds[k]) == np.argmax(truth[k]))
-    return {name: RolloutCurve(bce[name], acc[name]) for name in names}
+            preds = model.predict_sequence(batch)
+            bce[name][rows] = bce_probabilities(preds, truth)
+            acc[name][rows] = np.argmax(preds, axis=-1) == np.argmax(truth, axis=-1)
+    return {name: RolloutCurve(bce[name], acc[name]) for name in bce}
 
 
 def latent_atlas(model, env) -> list[tuple[str, np.ndarray]]:

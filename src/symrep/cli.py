@@ -47,9 +47,17 @@ def _resolve_out(args, cfg: ExperimentConfig) -> Path:
     return path
 
 
+def _require_at_least(low: int, **flags) -> None:
+    """Reject command-line counts below ``low`` as configuration errors."""
+    for flag, value in flags.items():
+        if value is not None and value < low:
+            raise ConfigError(f"--{flag} must be >= {low}, got {value}")
+
+
 def _apply_seed_override(cfg: ExperimentConfig, seed) -> None:
+    _require_at_least(0, seed=seed)
     if seed is not None:
-        cfg.train.seed = int(seed)
+        cfg.train.seed = seed
 
 
 def cmd_train(args) -> int:
@@ -60,11 +68,11 @@ def cmd_train(args) -> int:
     model, report = train(cfg.train)
     save_weights(out / "weights.symr", model.state_dict())
     report.save_csv(out / "train_report.csv")
-    print(
-        f"trained {cfg.train.model} model on {cfg.train.env.kind} "
-        f"(seed {cfg.train.seed}): final l_rec={report.final_l_rec:.6f} "
-        f"l_ent={report.final_l_ent:.6f}"
-    )
+    if report.steps:
+        result = f"final l_rec={report.final_l_rec:.6f} l_ent={report.final_l_ent:.6f}"
+    else:
+        result = "no steps run, initial weights written"
+    print(f"trained {cfg.train.model} model on {cfg.train.env.kind} (seed {cfg.train.seed}): {result}")
     print(f"outputs in {out}")
     return EXIT_OK
 
@@ -79,6 +87,8 @@ def _load_model(cfg: ExperimentConfig, weights_path):
 def cmd_analyze(args) -> int:
     cfg = load_experiment_config(args.config)
     env, model = _load_model(cfg, args.weights)
+    if model.kind == "direct":
+        raise ConfigError("analyses inspect learnt action matrices; a direct model has none")
     out = _resolve_out(args, cfg)
 
     selected = []
@@ -219,6 +229,7 @@ def cmd_predict_bench(args) -> int:
         seeds = list(cfg.seeds)
     else:
         raise ConfigError("no seeds: pass --seeds or set 'seeds' in the config")
+    _require_at_least(1, seeds=args.seeds, horizon=args.horizon, trials=args.trials)
     horizon = args.horizon
     trials = args.trials
     out = _resolve_out(args, cfg)

@@ -170,9 +170,11 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown analysis {a!r}; known: {', '.join(KNOWN_ANALYSES)}")
     seeds = sec.take("seeds", list, None)
     if seeds is not None:
+        if not seeds:
+            raise ConfigError("seeds must list at least one seed")
         for s in seeds:
-            if not isinstance(s, int) or isinstance(s, bool):
-                raise ConfigError(f"seeds must be integers, got {s!r}")
+            if not isinstance(s, int) or isinstance(s, bool) or s < 0:
+                raise ConfigError(f"seeds must be non-negative integers, got {s!r}")
     sec.finish()
     return ExperimentConfig(train=train, out_dir=out_dir, analyses=list(analyses), seeds=seeds)
 

@@ -30,6 +30,7 @@ __all__ = [
     "FactorWorld",
     "SphereWorld",
     "Trajectory",
+    "stack_batch",
     "sample_trajectory",
     "trajectory_rng",
     "save_trajectories",
@@ -231,9 +232,6 @@ class SphereWorld:
         density = np.exp(-d2 / (2.0 * self._sigma**2))
         return density / density.max()
 
-    def identity_state(self) -> np.ndarray:
-        return np.eye(3)
-
     def center_state(self) -> np.ndarray:
         return np.eye(3)
 
@@ -257,6 +255,19 @@ class Trajectory:
     @property
     def m(self) -> int:
         return len(self.actions)
+
+
+def stack_batch(trajectories) -> tuple[np.ndarray, np.ndarray]:
+    """Observations (B, m+1, D) and actions (B, m) or (B, m, 2) of equal-length trajectories.
+
+    A single :class:`Trajectory` is a batch of one.
+    """
+    batch = [trajectories] if isinstance(trajectories, Trajectory) else list(trajectories)
+    if not batch:
+        raise ValueError("empty trajectory batch")
+    if len({t.m for t in batch}) != 1:
+        raise ValueError("all trajectories in a batch must share the same length")
+    return np.stack([t.observations for t in batch]), np.stack([t.actions for t in batch])
 
 
 def trajectory_rng(seed: int, step: int, index: int) -> np.random.Generator:

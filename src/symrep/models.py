@@ -6,6 +6,9 @@ Encoders map observations onto the unit sphere in R^n through a single
 logits (probabilities materialise only inside losses and reports). Discrete
 actions own a lookup table of rotation angles; continuous actions are mapped
 to angles by a small network taking the raw (axis index, angle) pair.
+The structured model's batched ``rollout`` serves both the training loss and
+held-out prediction; the baseline is trained one step at a time and rolls out
+by feeding its own predictions back in.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rotations
+from .environments import Trajectory, stack_batch
 from .tensor import Tensor, as_tensor, concat, gather_rows, matmul, add, relu, normalize_to_sphere, sigmoid
 
 __all__ = [
@@ -46,9 +50,6 @@ class Linear:
     def __call__(self, x) -> Tensor:
         return add(matmul(x, self.weight), self.bias)
 
-    def parameters(self) -> list[Tensor]:
-        return [self.weight, self.bias]
-
     def named_parameters(self, prefix: str):
         return [(f"{prefix}.weight", self.weight), (f"{prefix}.bias", self.bias)]
 
@@ -69,9 +70,6 @@ class Encoder:
                 f"encoder expects observations of dimension {self.obs_dim}, got shape {obs.shape}"
             )
         return normalize_to_sphere(self.output(relu(self.hidden(obs))))
-
-    def parameters(self):
-        return self.hidden.parameters() + self.output.parameters()
 
     def named_parameters(self, prefix="encoder"):
         return self.hidden.named_parameters(f"{prefix}.hidden") + self.output.named_parameters(
@@ -95,9 +93,6 @@ class Decoder:
                 f"decoder expects latents of dimension {self.latent_dim}, got shape {z.shape}"
             )
         return self.output(relu(self.hidden(z)))
-
-    def parameters(self):
-        return self.hidden.parameters() + self.output.parameters()
 
     def named_parameters(self, prefix="decoder"):
         return self.hidden.named_parameters(f"{prefix}.hidden") + self.output.named_parameters(
@@ -132,9 +127,6 @@ class ActionTable:
     def all_angle_rows(self) -> np.ndarray:
         return self.angles.data.copy()
 
-    def parameters(self):
-        return [self.angles]
-
     def named_parameters(self, prefix="actions"):
         return [(f"{prefix}.angles", self.angles)]
 
@@ -157,16 +149,42 @@ class ContinuousActionNet:
             raise ValueError(f"continuous actions are (axis, angle) pairs, got shape {feats.shape}")
         return self.output(relu(self.hidden(feats)))
 
-    def parameters(self):
-        return self.hidden.parameters() + self.output.parameters()
-
     def named_parameters(self, prefix="actions"):
         return self.hidden.named_parameters(f"{prefix}.hidden") + self.output.named_parameters(
             f"{prefix}.output"
         )
 
 
-class SymmetryModel:
+class _Predictor:
+    """What both model kinds share: multi-step prediction and weights as named arrays.
+
+    Subclasses provide ``rollout(first_obs, actions) -> list[Tensor]`` and
+    ``named_parameters()``.
+    """
+
+    def predict_sequence(self, trajectories) -> np.ndarray:
+        """Predicted observation probabilities after each action.
+
+        Shape (B, m, obs_dim) for a list of trajectories, (m, obs_dim) for a
+        single :class:`Trajectory`. Each rollout starts from the trajectory's
+        first observation and sees none of the later ones.
+        """
+        obs, actions = stack_batch(trajectories)
+        step_logits = self.rollout(obs[:, 0], actions)
+        probs = np.stack([sigmoid(logits.data) for logits in step_logits], axis=1)
+        return probs[0] if isinstance(trajectories, Trajectory) else probs
+
+    def parameters(self) -> list[Tensor]:
+        return [p for _, p in self.named_parameters()]
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        return {name: p.data.copy() for name, p in self.named_parameters()}
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        _load_into(self.named_parameters(), state)
+
+
+class SymmetryModel(_Predictor):
     """Encoder, decoder and the action representation learnt jointly.
 
     ``actions`` is an :class:`ActionTable` for discrete environments or a
@@ -218,22 +236,29 @@ class SymmetryModel:
             angles = self.actions.angles_for(np.asarray(action, dtype=np.float64)).data
         return rotations.compose_representation(angles)
 
-    def predict_sequence(self, trajectory) -> np.ndarray:
-        """Latent rollout: encode once, rotate per action, decode at every step.
+    def rollout(self, first_obs, actions) -> list[Tensor]:
+        """Latent rollout: encode once, rotate by each action's matrix, decode after every step.
 
-        Returns predicted observation probabilities, shape (m, obs_dim).
+        ``first_obs`` is (B, obs_dim) and ``actions`` holds one row of m actions
+        per trajectory: (B, m) ids, or (B, m, 2) (axis, angle) pairs. A discrete
+        model composes each action's matrix once and gathers it per row; a
+        continuous one composes a matrix per action instance. Returns the m
+        step logits, each (B, obs_dim).
         """
-        z = self.encode(trajectory.observations[0]).data
-        preds = []
-        for k in range(trajectory.m):
-            action = trajectory.actions[k]
-            g = self.action_matrix(action if self.discrete else tuple(action))
-            z = g @ z
-            preds.append(sigmoid(self.decode(Tensor(z)).data))
-        return np.stack(preds)
-
-    def parameters(self):
-        return self.encoder.parameters() + self.decoder.parameters() + self.actions.parameters()
+        actions = np.asarray(actions)
+        batch, m = actions.shape[:2]
+        if self.discrete:
+            mats = rotations.rotation_matrices(self.actions.angles)
+            index = actions
+        else:
+            mats = rotations.rotation_matrices(self.action_angles(actions.reshape(batch * m, 2)))
+            index = np.arange(batch * m).reshape(batch, m)
+        z = self.encode(first_obs)
+        step_logits = []
+        for k in range(m):
+            z = rotations.rotate_vectors(gather_rows(mats, index[:, k]), z)
+            step_logits.append(self.decode(z))
+        return step_logits
 
     def named_parameters(self):
         return (
@@ -242,14 +267,8 @@ class SymmetryModel:
             + self.actions.named_parameters()
         )
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.named_parameters()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        _load_into(self.named_parameters(), state)
-
-
-class DirectPredictor:
+class DirectPredictor(_Predictor):
     """Baseline that decodes the next observation from [latent, one-hot action].
 
     The latent is sphere-normalised like the structured model's, for a fair
@@ -290,27 +309,21 @@ class DirectPredictor:
             return self.decoder(concat([z, Tensor(hot)], axis=1))
         return self.decoder(concat([z, Tensor(hot[0])], axis=0))
 
-    def predict_sequence(self, trajectory) -> np.ndarray:
-        """Iterated one-step prediction, feeding its own probabilities back in."""
-        obs = trajectory.observations[0]
-        preds = []
-        for k in range(trajectory.m):
-            logits = self.predict_logits(obs, int(trajectory.actions[k]))
-            obs = sigmoid(logits.data)
-            preds.append(obs)
-        return np.stack(preds)
+    def rollout(self, first_obs, actions) -> list[Tensor]:
+        """Iterated one-step prediction from (B, obs_dim) observations and (B, m) ids.
 
-    def parameters(self):
-        return self.encoder.parameters() + self.decoder.parameters()
+        Each step feeds its own probabilities back in, so no gradient flows
+        between steps. Returns the m step logits, each (B, obs_dim).
+        """
+        actions = np.asarray(actions)
+        obs, step_logits = first_obs, []
+        for k in range(actions.shape[1]):
+            step_logits.append(self.predict_logits(obs, actions[:, k]))
+            obs = sigmoid(step_logits[-1].data)
+        return step_logits
 
     def named_parameters(self):
         return self.encoder.named_parameters() + self.decoder.named_parameters()
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.named_parameters()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        _load_into(self.named_parameters(), state)
 
 
 def _load_into(named_params, state: dict[str, np.ndarray]) -> None:

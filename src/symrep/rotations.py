@@ -20,8 +20,6 @@ introduce gradient discontinuities.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from .tensor import Tensor, _node, as_tensor
@@ -32,11 +30,8 @@ __all__ = [
     "latent_dim_for",
     "plane_rotation",
     "compose_representation",
-    "representation_backward",
     "rotation_matrices",
     "rotate_vectors",
-    "entanglement_metric",
-    "entanglement_backward",
     "entanglement_penalty",
     "canonical_angles",
 ]
@@ -149,21 +144,11 @@ def compose_representation(angles, n: int | None = None) -> np.ndarray:
     return _compose_batch(angles[None, :], n)[0]
 
 
-def representation_backward(angles, upstream) -> np.ndarray:
-    """Angle gradients of <upstream, g(angles)>, respecting the factor order."""
-    angles = np.asarray(angles, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    n = latent_dim_for(angles.size)
-    if upstream.shape != (n, n):
-        raise ValueError(f"upstream must be {n}x{n}, got {upstream.shape}")
-    return _compose_grad_batch(angles[None, :], upstream[None, :, :], n)[0]
-
-
 def rotation_matrices(angles: Tensor) -> Tensor:
     """Differentiable op mapping angle rows (q,) or (B, q) to matrices.
 
     The output is (n, n) or (B, n, n); the backward pass routes matrix
-    gradients to the angles via :func:`representation_backward`.
+    gradients to the angles in the fixed factor order.
     """
     angles = as_tensor(angles)
     single = angles.data.ndim == 1
@@ -184,69 +169,19 @@ def rotation_matrices(angles: Tensor) -> Tensor:
 
 
 def rotate_vectors(mats: Tensor, vecs: Tensor) -> Tensor:
-    """Apply per-row matrices to per-row vectors: out[b] = mats[b] @ vecs[b].
-
-    Accepts the unbatched pair (n, n) @ (n,) as well.
-    """
+    """Apply per-row matrices to per-row vectors: out[b] = mats[b] @ vecs[b]."""
     mats, vecs = as_tensor(mats), as_tensor(vecs)
-    single = vecs.data.ndim == 1
-    M = mats.data[None, :, :] if mats.data.ndim == 2 else mats.data
-    Z = vecs.data[None, :] if single else vecs.data
+    M, Z = mats.data, vecs.data
     if M.ndim != 3 or Z.ndim != 2 or M.shape[0] != Z.shape[0] or M.shape[2] != Z.shape[1]:
         raise ValueError(f"rotate_vectors shape mismatch: {mats.shape} applied to {vecs.shape}")
-    out = np.einsum("bij,bj->bi", M, Z)
 
     def backward(g):
-        G = g[None, :] if single else g
         if mats.requires_grad:
-            dM = np.einsum("bi,bj->bij", G, Z)
-            mats._accumulate(dM[0] if single else dM)
+            mats._accumulate(np.einsum("bi,bj->bij", g, Z))
         if vecs.requires_grad:
-            dZ = np.einsum("bij,bi->bj", M, G)
-            vecs._accumulate(dZ[0] if single else dZ)
+            vecs._accumulate(np.einsum("bij,bi->bj", M, g))
 
-    return _node(out[0] if single else out, (mats, vecs), backward)
-
-
-def _as_rows(angle_sets) -> np.ndarray:
-    if isinstance(angle_sets, np.ndarray) and angle_sets.ndim == 2:
-        return np.asarray(angle_sets, dtype=np.float64)
-    return np.stack([np.asarray(a, dtype=np.float64) for a in angle_sets])
-
-
-def _non_exempt(rows: np.ndarray) -> np.ndarray:
-    """Boolean mask of a (B, q) angle stack, False at each row's exempt entry.
-
-    The exempt entry is the one of largest magnitude (the first on ties).
-    Summing only the masked squares, rather than subtracting the exempt
-    squares from the total, keeps the value exactly independent of the
-    exempt entry, as its zero gradient says it is.
-    """
-    keep = np.ones(rows.shape, dtype=bool)
-    keep[np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1)] = False
-    return keep
-
-
-def entanglement_metric(angle_sets) -> float:
-    """Sum over actions of squared angles, excluding each action's largest.
-
-    For every angle row the entry of largest magnitude is exempt (ties go to
-    the lexicographically first plane, which is the first flat index); the
-    squares of the remaining entries are summed. Zero exactly when every
-    action rotates at most one plane.
-    """
-    rows = _as_rows(angle_sets)
-    if rows.size == 0:
-        return 0.0
-    return float((rows[_non_exempt(rows)] ** 2).sum())
-
-
-def entanglement_backward(angles, upstream: float = 1.0) -> np.ndarray:
-    """Gradient of the per-action entanglement term: 2*theta, zero at the argmax."""
-    angles = np.asarray(angles, dtype=np.float64)
-    g = 2.0 * angles * float(upstream)
-    g[np.argmax(np.abs(angles))] = 0.0
-    return g
+    return _node(np.einsum("bij,bj->bi", M, Z), (mats, vecs), backward)
 
 
 def entanglement_penalty(angles: Tensor) -> Tensor:
@@ -261,7 +196,12 @@ def entanglement_penalty(angles: Tensor) -> Tensor:
     A = angles.data[None, :] if single else angles.data
     if A.ndim != 2:
         raise ValueError(f"entanglement_penalty expects (q,) or (B, q) angles, got {angles.shape}")
-    keep = _non_exempt(A)
+    # The exempt entry is each row's largest magnitude (the first on ties).
+    # Summing only the other squares, rather than subtracting the exempt ones
+    # from the total, keeps the value exactly independent of the exempt entry,
+    # as its zero gradient says it is.
+    keep = np.ones(A.shape, dtype=bool)
+    keep[np.arange(A.shape[0]), np.argmax(np.abs(A), axis=1)] = False
     value = float((A[keep] ** 2).sum())
 
     def backward(g):

@@ -334,10 +334,10 @@ def bce_with_logits(logits, targets) -> Tensor:
 
 
 def gather_rows(x, idx) -> Tensor:
-    """Select rows of a matrix by integer index; backward scatter-adds."""
+    """Select rows (entries of the first axis) of an array by integer index; backward scatter-adds."""
     x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ValueError(f"gather_rows requires a matrix, got shape {x.shape}")
+    if x.data.ndim < 1:
+        raise ValueError("gather_rows requires an array with rows, got a scalar")
     idx = np.asarray(idx, dtype=np.intp)
     if idx.ndim != 1:
         raise ValueError(f"gather_rows requires 1-d indices, got shape {idx.shape}")

@@ -25,11 +25,12 @@ from .environments import (
     TorusWorld,
     Trajectory,
     sample_trajectory,
+    stack_batch,
     trajectory_rng,
 )
 from .models import DirectPredictor, SymmetryModel
 from .optim import Adam
-from .rotations import entanglement_penalty, rotation_matrices, rotate_vectors
+from .rotations import entanglement_penalty
 from .tensor import Tensor, bce_with_logits, gather_rows, mul
 
 __all__ = [
@@ -153,6 +154,8 @@ class TrainConfig:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.total_steps < 0:
             raise ValueError(f"total_steps must be >= 0, got {self.total_steps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.start not in ("random", "center"):
             raise ValueError(f"start must be 'random' or 'center', got {self.start!r}")
         if self.model not in ("structured", "direct"):
@@ -201,39 +204,10 @@ class TrainReport:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _as_batch(trajectories) -> list[Trajectory]:
-    if isinstance(trajectories, Trajectory):
-        return [trajectories]
-    batch = list(trajectories)
-    if not batch:
-        raise ValueError("empty trajectory batch")
-    if len({t.m for t in batch}) != 1:
-        raise ValueError("all trajectories in a batch must share the same length")
-    return batch
-
-
-def _rollout(model: SymmetryModel, trajectories):
-    """Shared rollout graph; returns (l_rec, per-step logits, per-step angle tensors)."""
-    batch = _as_batch(trajectories)
-    m = batch[0].m
-    obs = np.stack([t.observations for t in batch])  # (B, m+1, D)
-    z = model.encode(Tensor(obs[:, 0]))
-    l_rec = None
-    step_logits = []
-    step_angles = []
-    for k in range(m):
-        if model.discrete:
-            acts = np.array([int(t.actions[k]) for t in batch])
-        else:
-            acts = np.stack([t.actions[k] for t in batch])
-        angles = model.action_angles(acts)
-        step_angles.append(angles)
-        z = rotate_vectors(rotation_matrices(angles), z)
-        logits = model.decode(z)
-        step_logits.append(logits)
-        term = bce_with_logits(logits, Tensor(obs[:, k + 1]))
-        l_rec = term if l_rec is None else l_rec + term
-    return l_rec, step_logits, step_angles
+def _summed_bce(step_logits, obs) -> Tensor:
+    """Sum over steps of the batch-mean BCE of step k's logits against obs[:, k + 1]."""
+    terms = [bce_with_logits(logits, Tensor(obs[:, k + 1])) for k, logits in enumerate(step_logits)]
+    return sum(terms[1:], terms[0])
 
 
 def rollout_loss(model: SymmetryModel, trajectories):
@@ -241,47 +215,33 @@ def rollout_loss(model: SymmetryModel, trajectories):
 
     The first observation is encoded once; every subsequent step applies the
     action's rotation in latent space and decodes, so each intermediate
-    reconstruction contributes a mean binary cross-entropy term.
+    reconstruction contributes a mean binary cross-entropy term. Returns the
+    loss and the per-step logits.
     """
-    l_rec, step_logits, _ = _rollout(model, trajectories)
-    return l_rec, step_logits
+    obs, actions = stack_batch(trajectories)
+    step_logits = model.rollout(obs[:, 0], actions)
+    return _summed_bce(step_logits, obs), step_logits
 
 
 def direct_prediction_loss(model: DirectPredictor, trajectories):
     """Teacher-forced one-step losses for the direct-prediction baseline."""
-    batch = _as_batch(trajectories)
-    m = batch[0].m
-    obs = np.stack([t.observations for t in batch])
-    l_rec = None
-    step_logits = []
-    for k in range(m):
-        ids = np.array([int(t.actions[k]) for t in batch])
-        logits = model.predict_logits(Tensor(obs[:, k]), ids)
-        step_logits.append(logits)
-        term = bce_with_logits(logits, Tensor(obs[:, k + 1]))
-        l_rec = term if l_rec is None else l_rec + term
-    return l_rec, step_logits
+    obs, actions = stack_batch(trajectories)
+    step_logits = [model.predict_logits(obs[:, k], actions[:, k]) for k in range(actions.shape[1])]
+    return _summed_bce(step_logits, obs), step_logits
 
 
-def batch_entanglement(model: SymmetryModel, trajectories, step_angles=None) -> Tensor:
+def batch_entanglement(model: SymmetryModel, trajectories) -> Tensor:
     """Entanglement penalty over the actions seen in a batch.
 
     Discrete models contribute one term per distinct action id present;
     continuous models contribute one term per action instance (each carries
     its own angles).
     """
-    batch = _as_batch(trajectories)
+    batch = [trajectories] if isinstance(trajectories, Trajectory) else trajectories
+    actions = np.concatenate([t.actions for t in batch])  # stack_batch would copy the observations too
     if model.discrete:
-        ids = np.unique(np.concatenate([np.asarray(t.actions, dtype=np.int64) for t in batch]))
-        rows = gather_rows(model.actions.angles, ids)
-        return entanglement_penalty(rows)
-    if step_angles is None:
-        _, _, step_angles = _rollout(model, batch)
-    penalty = None
-    for angles in step_angles:
-        term = entanglement_penalty(angles)
-        penalty = term if penalty is None else penalty + term
-    return penalty
+        return entanglement_penalty(gather_rows(model.actions.angles, np.unique(actions)))
+    return entanglement_penalty(model.action_angles(actions))
 
 
 def total_loss(l_rec: Tensor, penalty: Tensor | None, lam: float) -> Tensor:
@@ -339,8 +299,8 @@ def train(config: TrainConfig):
             l_rec, _ = direct_prediction_loss(model, batch)
             penalty = None
         else:
-            l_rec, _, step_angles = _rollout(model, batch)
-            penalty = batch_entanglement(model, batch, step_angles)
+            l_rec, _ = rollout_loss(model, batch)
+            penalty = batch_entanglement(model, batch)
         l_rec_value = l_rec.item()
         if not np.isfinite(l_rec_value):
             raise DivergenceError(

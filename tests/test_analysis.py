@@ -98,8 +98,8 @@ class TestEquivariance:
 class _OracleModel:
     """Feeds the true observations back as its predictions."""
 
-    def predict_sequence(self, trajectory):
-        return trajectory.observations[1:].copy()
+    def predict_sequence(self, trajectories):
+        return np.stack([t.observations[1:] for t in trajectories])
 
 
 class TestRolloutCurve:

@@ -133,6 +133,24 @@ class TestCmdTrain:
         assert (o1 / "weights.symr").read_bytes() != (o2 / "weights.symr").read_bytes()
         assert json.loads((o1 / "resolved_config.json").read_text())["seed"] == 7
 
+    def test_zero_steps_writes_initial_weights_and_header_only_report(self, tmp_path):
+        cfg_path = write_config(tmp_path, tiny_config(total_steps=0))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert (out / "train_report.csv").read_text() == "step,l_rec,l_ent,lambda,elapsed_ms\n"
+        fresh = build_model(load_experiment_config(cfg_path).train)
+        assert {k: v.tolist() for k, v in load_weights(out / "weights.symr").items()} == {
+            k: v.tolist() for k, v in fresh.state_dict().items()
+        }
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, tiny_config())
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "a"), "--seed", "-3"]) == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        cfg_path = write_config(tmp_path, tiny_config(seed=-3), name="negative.json")
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "b")]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
 
 @pytest.fixture()
 def trained_run(tmp_path_factory):
@@ -244,6 +262,16 @@ class TestCmdAnalyze:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--group-report", "--equivariance", "--atlas", "--project-2d"])
+    def test_direct_model_weights_exit_2(self, tmp_path, capsys, flag):
+        cfg_path = write_config(tmp_path, tiny_config(total_steps=1, model="direct"))
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out", str(run)]) == 0
+        weights = str(run / "weights.symr")
+        out = str(tmp_path / "o")
+        assert main(["analyze", "--weights", weights, "--config", str(cfg_path), "--out", out, flag]) == 2
+        assert "direct model" in capsys.readouterr().err
+
 
 class TestCmdExportDataset:
     def test_zero_count_writes_valid_empty_dataset(self, tmp_path):
@@ -354,3 +382,18 @@ class TestCmdPredictBench:
             ["predict-bench", "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--seeds", "1"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--seeds", "--horizon", "--trials"])
+    def test_counts_below_one_exit_2(self, tmp_path, capsys, flag):
+        cfg_path = write_config(tmp_path, tiny_config(total_steps=1, start="center"))
+        out = tmp_path / "bench"
+        counts = {"--seeds": "1", "--horizon": "1", "--trials": "1", flag: "0"}
+        argv = ["predict-bench", "--config", str(cfg_path), "--out", str(out)]
+        assert main(argv + [a for pair in counts.items() for a in pair]) == 2
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        assert not (out / "rollout_curve.csv").exists()
+
+    def test_empty_config_seeds_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, tiny_config(total_steps=1, seeds=[]))
+        assert main(["predict-bench", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "at least one seed" in capsys.readouterr().err

@@ -143,7 +143,7 @@ class TestSphere:
 
     def test_states_stay_orthogonal(self):
         env = SphereWorld()
-        s = env.identity_state()
+        s = env.center_state()
         gen = rng(4)
         for _ in range(200):
             s = env.step(s, (int(gen.integers(3)), float(gen.uniform(-np.pi, np.pi))))
@@ -151,7 +151,7 @@ class TestSphere:
 
     def test_observe_peak_at_reference_pole(self):
         env = SphereWorld()
-        obs = env.observe(env.identity_state())
+        obs = env.observe(env.center_state())
         # ball sits at (0, 0, 1): peak voxel has x, y central and z maximal
         idx = np.argmax(obs)
         ix, iy, iz = np.unravel_index(idx, (10, 10, 10))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from symrep.environments import TorusWorld, sample_trajectory, trajectory_rng
+from symrep import rotations
+from symrep.environments import SphereWorld, TorusWorld, sample_trajectory, trajectory_rng
 from symrep.models import (
     ActionTable,
     ContinuousActionNet,
@@ -12,7 +13,7 @@ from symrep.models import (
     save_weights,
 )
 from symrep.rotations import plane_count
-from symrep.tensor import Tensor
+from symrep.tensor import Tensor, sigmoid
 
 
 def rng(seed=0):
@@ -127,6 +128,59 @@ class TestDirectPredictor:
         preds = model.predict_sequence(traj)
         assert preds.shape == (4, 25)
         assert np.all(preds > 0.0) and np.all(preds < 1.0)
+
+
+class TestRollout:
+    """The batched rollout against the per-trajectory, per-step loop it replaced."""
+
+    @staticmethod
+    def reference_predictions(model, traj):
+        if model.kind == "direct":
+            obs, preds = traj.observations[0], []
+            for action in traj.actions:
+                obs = sigmoid(model.predict_logits(obs, int(action)).data)
+                preds.append(obs)
+            return np.stack(preds)
+        z = model.encode(traj.observations[0]).data
+        preds = []
+        for action in traj.actions:
+            z = model.action_matrix(action if model.discrete else tuple(action)) @ z
+            preds.append(sigmoid(model.decode(Tensor(z)).data))
+        return np.stack(preds)
+
+    @pytest.mark.parametrize("kind", ["discrete", "continuous", "direct"])
+    def test_batched_prediction_matches_per_step_loop(self, kind):
+        env = SphereWorld() if kind == "continuous" else TorusWorld(4)
+        if kind == "direct":
+            model = DirectPredictor(rng(7), env.observation_dim, env.num_actions, latent_dim=3)
+        else:
+            model = SymmetryModel.build(rng(7), env.observation_dim, 3, None if env.continuous else 4)
+        gen = rng(8)
+        trajs = [sample_trajectory(env, gen, 6) for _ in range(5)]
+        batched = model.predict_sequence(trajs)
+        assert batched.shape == (5, 6, env.observation_dim)
+        for traj, preds in zip(trajs, batched):
+            assert np.allclose(preds, self.reference_predictions(model, traj), rtol=0, atol=1e-12)
+        single = model.predict_sequence(trajs[2])
+        assert single.shape == (6, env.observation_dim)
+        assert np.allclose(single, batched[2], rtol=0, atol=1e-12)
+
+    def test_discrete_rollout_composes_each_action_once(self, monkeypatch):
+        rows = []
+        compose = rotations.rotation_matrices
+
+        def counted(angles):
+            rows.append(angles.shape[0])
+            return compose(angles)
+
+        monkeypatch.setattr(rotations, "rotation_matrices", counted)
+        env = TorusWorld(4)
+        model = make_model(obs_dim=env.observation_dim)
+        gen = rng(9)
+        logits = model.rollout(np.stack([env.observe(env.random_state(gen)) for _ in range(8)]),
+                               gen.integers(0, 4, size=(8, 5)))
+        assert len(logits) == 5 and logits[0].shape == (8, 16)
+        assert rows == [4]
 
 
 class TestWeightsPersistence:

@@ -7,14 +7,11 @@ from hypothesis.extra.numpy import arrays
 from symrep.rotations import (
     canonical_angles,
     compose_representation,
-    entanglement_backward,
-    entanglement_metric,
     entanglement_penalty,
     latent_dim_for,
     plane_count,
     plane_indices,
     plane_rotation,
-    representation_backward,
     rotate_vectors,
     rotation_matrices,
 )
@@ -23,6 +20,23 @@ from symrep.tensor import Tensor, finite_diff_check, mul
 
 def frob(x):
     return np.linalg.norm(x, ord="fro")
+
+
+def angle_gradient(angles, upstream):
+    """Gradient of <upstream, rotation_matrices(angles)> from the op's backward pass."""
+    probe = Tensor(np.array(angles, dtype=np.float64), requires_grad=True)
+    mul(rotation_matrices(probe), Tensor(upstream)).sum().backward()
+    return probe.grad
+
+
+def entanglement(rows) -> float:
+    return entanglement_penalty(Tensor(np.array(rows, dtype=np.float64))).item()
+
+
+def entanglement_grad(row):
+    probe = Tensor(np.array(row, dtype=np.float64), requires_grad=True)
+    entanglement_penalty(probe).backward()
+    return probe.grad
 
 
 def test_plane_indices_order_and_count():
@@ -127,7 +141,7 @@ def test_factor_order_matters_for_shared_index():
 
 
 def test_representation_backward_zero_upstream():
-    grads = representation_backward(np.array([0.3, 0.2, 0.1]), np.zeros((3, 3)))
+    grads = angle_gradient([0.3, 0.2, 0.1], np.zeros((3, 3)))
     assert np.array_equal(grads, np.zeros(3))
 
 
@@ -149,10 +163,11 @@ def test_representation_backward_n4_finite_diff():
         return mul(rotation_matrices(t), Tensor(upstream)).sum()
 
     assert finite_diff_check(f, angles) < 1e-5
-    # the standalone backward agrees with the op's gradient
-    probe = Tensor(angles.copy(), requires_grad=True)
-    f(probe).backward()
-    assert np.allclose(probe.grad, representation_backward(angles, upstream), atol=1e-12)
+    # a row of a (B, q) stack gets the same gradient as the row on its own
+    other = rng.uniform(-2, 2, plane_count(4))
+    stacked = angle_gradient(np.stack([other, angles]), np.stack([np.zeros((4, 4)), upstream]))
+    assert np.array_equal(stacked[0], np.zeros(plane_count(4)))
+    assert np.allclose(stacked[1], angle_gradient(angles, upstream), atol=1e-12)
 
 
 @pytest.mark.parametrize("trial", range(100))
@@ -184,24 +199,24 @@ def test_rotate_vectors_values_and_gradients():
 
 def test_entanglement_metric_examples():
     # one nonzero angle per action is fully disentangled
-    assert entanglement_metric([np.array([0.0, 1.3, 0.0])]) == 0.0
-    assert entanglement_metric([np.array([0.3, 0.2, 0.1])]) == pytest.approx(0.05, abs=1e-15)
-    assert entanglement_metric([np.zeros(6), np.zeros(6)]) == 0.0
+    assert entanglement([[0.0, 1.3, 0.0]]) == 0.0
+    assert entanglement([[0.3, 0.2, 0.1]]) == pytest.approx(0.05, abs=1e-15)
+    assert entanglement([np.zeros(6), np.zeros(6)]) == 0.0
 
 
 def test_entanglement_metric_sums_over_actions():
-    total = entanglement_metric([np.array([0.3, 0.2, 0.1]), np.array([0.5, 0.4, 0.0])])
+    total = entanglement([[0.3, 0.2, 0.1], [0.5, 0.4, 0.0]])
     assert total == pytest.approx(0.05 + 0.16, abs=1e-15)
 
 
 def test_entanglement_backward_examples():
-    assert np.array_equal(entanglement_backward(np.array([0.0, 0.9, 0.0])), np.zeros(3))
-    grads = entanglement_backward(np.array([0.3, 0.2, 0.1]))
+    assert np.array_equal(entanglement_grad([0.0, 0.9, 0.0]), np.zeros(3))
+    grads = entanglement_grad([0.3, 0.2, 0.1])
     assert np.allclose(grads, [0.0, 0.4, 0.2], atol=1e-15)
 
 
 def test_entanglement_tie_exempts_lexicographically_first():
-    grads = entanglement_backward(np.array([0.4, -0.4, 0.1]))
+    grads = entanglement_grad([0.4, -0.4, 0.1])
     # |theta_{1,2}| == |theta_{1,3}|: the (1,2) slot wins the exemption
     assert grads[0] == 0.0
     assert grads[1] == pytest.approx(-0.8)
@@ -217,7 +232,7 @@ def test_entanglement_tie_exempts_lexicographically_first():
 )
 def test_entanglement_nonnegative_and_zero_iff_single_plane(angles):
     angles = np.where(np.abs(angles) < 1e-6, 0.0, angles)  # keep squares representable
-    value = entanglement_metric([angles])
+    value = entanglement([angles])
     assert value >= 0.0
     if np.count_nonzero(angles) <= 1:
         assert value == 0.0
@@ -229,12 +244,17 @@ def test_entanglement_penalty_matches_metric_and_gradient():
     rng = np.random.default_rng(12)
     rows = rng.uniform(-1, 1, (3, 6))
     penalty = entanglement_penalty(Tensor(rows))
-    assert penalty.item() == pytest.approx(entanglement_metric(rows), abs=1e-14)
+    # a stack's value is the sum of its rows' values
+    assert penalty.item() == pytest.approx(sum(entanglement([r]) for r in rows), abs=1e-14)
+    expected_value = sum((r**2).sum() - (r**2).max() for r in rows)
+    assert penalty.item() == pytest.approx(expected_value, abs=1e-14)
 
     probe = Tensor(rows.copy(), requires_grad=True)
     entanglement_penalty(probe).backward()
-    expected = np.stack([entanglement_backward(r) for r in rows])
+    expected = 2.0 * rows
+    expected[np.arange(3), np.argmax(np.abs(rows), axis=1)] = 0.0
     assert np.allclose(probe.grad, expected, atol=1e-14)
+    assert np.array_equal(probe.grad, np.stack([entanglement_grad(r) for r in rows]))
 
     err = finite_diff_check(lambda t: entanglement_penalty(t), rows, step=1e-6)
     assert err < 1e-6
@@ -246,17 +266,13 @@ def test_entanglement_exactly_independent_of_exempt_entry():
     moved = []
     for seed in range(50):
         rows = np.random.default_rng(seed).uniform(-1, 1, (3, 6))
-        base_penalty = entanglement_penalty(Tensor(rows)).item()
-        base_metric = entanglement_metric(rows)
+        base = entanglement(rows)
         for r, k in enumerate(np.argmax(np.abs(rows), axis=1)):
             for delta in (1e-6, -1e-6):
                 probe = rows.copy()
                 probe[r, k] += delta
                 assert np.argmax(np.abs(probe[r])) == k
-                if (
-                    entanglement_penalty(Tensor(probe)).item() != base_penalty
-                    or entanglement_metric(probe) != base_metric
-                ):
+                if entanglement(probe) != base:
                     moved.append((seed, r, delta))
     assert moved == []
 

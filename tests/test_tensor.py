@@ -132,6 +132,15 @@ def test_gather_and_concat_values_and_gradients():
     assert err < 1e-8
 
 
+def test_gather_rows_of_a_matrix_stack():
+    rng = np.random.default_rng(14)
+    x0 = rng.standard_normal((3, 2, 2))
+    idx = np.array([1, 1, 0, 2])  # a repeated row gets both gradients
+    assert np.array_equal(gather_rows(Tensor(x0), idx).data, x0[idx])
+    w = rng.standard_normal((4, 2, 2))
+    assert finite_diff_check(lambda x: mul(gather_rows(x, idx), Tensor(w)).sum(), x0) < 1e-7
+
+
 def test_gather_rows_rejects_bad_index():
     with pytest.raises(LookupError):
         gather_rows(Tensor(np.zeros((2, 2))), np.array([0, 5]))
