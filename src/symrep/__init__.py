@@ -18,6 +18,7 @@ from .tensor import (
     gather_rows,
     matmul,
     mul,
+    no_grad,
     normalize_to_sphere,
     relu,
     sigmoid,

@@ -28,7 +28,7 @@ from .config import (
     save_resolved_config,
 )
 from .environments import sample_trajectory, save_trajectories, trajectory_rng
-from .models import WeightsFormatError, load_weights, save_weights
+from .models import WeightsFormatError, load_weights, save_weights, write_atomic
 from .training import ConstantSchedule, DivergenceError, TrainConfig, build_model, train
 
 EXIT_OK = 0
@@ -109,6 +109,9 @@ def cmd_analyze(args) -> int:
     try:
         atlas = None
         for name in selected:
+            if name in ("atlas", "project-2d") and atlas is None:
+                sample = analysis.sampled_latent_atlas if env.continuous else analysis.latent_atlas
+                atlas = sample(model, env)
             if name == "group-report":
                 report = analysis.group_report(model, env)
                 report.save_csv(out / "group_report.csv")
@@ -119,10 +122,8 @@ def cmd_analyze(args) -> int:
                 stats.save_csv(out / "equivariance.csv")
                 print(f"equivariance error: mean {stats.mean:.4f}, max {stats.max:.4f}")
             elif name == "atlas":
-                atlas = atlas or analysis.latent_atlas(model, env)
                 analysis.save_atlas_csv(atlas, out / "latent_atlas.csv")
             elif name == "project-2d":
-                atlas = atlas or analysis.latent_atlas(model, env)
                 for seed in range(args.proj_seeds):
                     spec = analysis.ProjectionSpec.from_seed(model.n, seed)
                     rows = analysis.project_2d(atlas, spec)
@@ -206,16 +207,35 @@ def _write_seed_csv(path: Path, result: dict, horizon: int) -> None:
         for k in range(horizon):
             bce, acc = result[name]["bce"][k], result[name]["accuracy"][k]
             lines.append(f"{name},{k + 1},{float(bce)!r},{float(acc)!r}")
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def _read_seed_csv(path: Path, horizon: int) -> dict:
-    result = {name: {"bce": [0.0] * horizon, "accuracy": [0.0] * horizon} for name in BENCH_VARIANTS}
-    for line in path.read_text().splitlines()[1:]:
-        name, step, bce, acc = line.split(",")
-        result[name]["bce"][int(step) - 1] = float(bce)
-        result[name]["accuracy"][int(step) - 1] = float(acc)
+    """A completed seed's curves; a malformed or partial file is a file error naming it."""
+    result = {name: {"bce": [None] * horizon, "accuracy": [None] * horizon} for name in BENCH_VARIANTS}
+    try:
+        for line in path.read_text().splitlines()[1:]:
+            name, step, bce, acc = line.split(",")
+            k = int(step) - 1
+            if not 0 <= k < horizon:
+                raise ValueError(f"step {step} outside 1..{horizon}")
+            result[name]["bce"][k], result[name]["accuracy"][k] = float(bce), float(acc)
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"cannot resume from {path}: bad row ({exc}); delete it to start over")
+    if any(None in curve for variant in result.values() for curve in variant.values()):
+        raise ConfigError(f"cannot resume from {path}: rows are missing; delete it to start over")
     return result
+
+
+def _read_manifest(path: Path) -> dict:
+    """A previous run's manifest; a malformed one is a file error naming it."""
+    try:
+        manifest = json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot resume from {path}: not valid JSON ({exc}); delete it to start over")
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("completed"), dict):
+        raise ConfigError(f"cannot resume from {path}: no 'completed' mapping; delete it to start over")
+    return manifest
 
 
 def cmd_predict_bench(args) -> int:
@@ -243,7 +263,7 @@ def cmd_predict_bench(args) -> int:
     }
     manifest = {"completed": {}, **fingerprint}
     if manifest_path.exists():
-        previous = json.loads(manifest_path.read_text())
+        previous = _read_manifest(manifest_path)
         if all(previous.get(k) == v for k, v in fingerprint.items()):
             manifest = previous
         else:
@@ -265,7 +285,7 @@ def cmd_predict_bench(args) -> int:
         _write_seed_csv(seed_file(seed), result, horizon)
         results[seed] = result
         manifest["completed"][str(seed)] = seed_file(seed).name
-        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+        write_atomic(manifest_path, (json.dumps(manifest, indent=2) + "\n").encode())
 
     workers = max(1, int(os.environ.get("SYMR_THREADS", "1")))
     if workers > 1 and len(pending) > 1:
@@ -297,7 +317,7 @@ def _write_combined_csv(path: Path, results: dict[int, dict], seeds, horizon: in
         )
         for k in range(horizon):
             lines.append(",".join([name, str(k + 1)] + [repr(float(c[k])) for c in columns]))
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,6 +13,7 @@ by feeding its own predictions back in.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import rotations
 from .environments import Trajectory, stack_batch
-from .tensor import Tensor, as_tensor, concat, gather_rows, matmul, add, relu, normalize_to_sphere, sigmoid
+from .tensor import Tensor, as_tensor, concat, gather_rows, matmul, add, relu, normalize_to_sphere, no_grad, sigmoid
 
 __all__ = [
     "Linear",
@@ -33,6 +34,7 @@ __all__ = [
     "WeightsFormatError",
     "save_weights",
     "load_weights",
+    "write_atomic",
 ]
 
 WEIGHTS_MAGIC = b"SYMR"
@@ -167,10 +169,12 @@ class _Predictor:
 
         Shape (B, m, obs_dim) for a list of trajectories, (m, obs_dim) for a
         single :class:`Trajectory`. Each rollout starts from the trajectory's
-        first observation and sees none of the later ones.
+        first observation and sees none of the later ones. No graph is
+        recorded, so parameters get no gradient.
         """
         obs, actions = stack_batch(trajectories)
-        step_logits = self.rollout(obs[:, 0], actions)
+        with no_grad():
+            step_logits = self.rollout(obs[:, 0], actions)
         probs = np.stack([sigmoid(logits.data) for logits in step_logits], axis=1)
         return probs[0] if isinstance(trajectories, Trajectory) else probs
 
@@ -347,23 +351,32 @@ class WeightsFormatError(Exception):
     """Raised for unreadable weight files or architecture mismatches."""
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Replace ``path`` by ``data`` through a temporary sibling and ``os.replace``.
+
+    A reader, or a resumed run, sees the old file or the new one, never a
+    partly written one.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
 def save_weights(path, arrays: dict[str, np.ndarray]) -> None:
     """Versioned binary dump: magic, u32 version, then per-tensor records.
 
     Each record is u32 name length, utf-8 name, u32 rank, u32 dims,
-    little-endian float64 values. The round trip is bit-exact.
+    little-endian float64 values. The round trip is bit-exact, and the file
+    is replaced atomically.
     """
-    with open(path, "wb") as fh:
-        fh.write(WEIGHTS_MAGIC)
-        fh.write(struct.pack("<I", WEIGHTS_VERSION))
-        for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype="<f8")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    chunks = [WEIGHTS_MAGIC, struct.pack("<I", WEIGHTS_VERSION)]
+    for name, arr in arrays.items():
+        arr = np.asarray(arr, dtype="<f8")
+        encoded = name.encode("utf-8")
+        chunks += [struct.pack("<I", len(encoded)), encoded, struct.pack("<I", arr.ndim)]
+        chunks += [struct.pack(f"<{arr.ndim}I", *arr.shape), arr.tobytes()]
+    write_atomic(path, b"".join(chunks))
 
 
 def load_weights(path) -> dict[str, np.ndarray]:

@@ -11,7 +11,9 @@ where it carries ``[[cos t, sin t], [-sin t, cos t]]`` (positive sine above
 the diagonal). Any angle assignment yields an orthogonal matrix with unit
 determinant, so membership in SO(n) is structural rather than enforced by a
 penalty. The factors do not commute, and the backward pass respects the
-fixed product order.
+fixed product order. Both passes apply the product as 2n-3 layers of
+pairwise-disjoint planes (``_layers``), the rectangular Givens mesh of
+Clements et al. 2016, in O(B n^2) memory for B angle rows.
 
 Angles are unconstrained reals during optimisation. ``canonical_angles``
 wraps them into (-pi, pi] for reporting only; wrapping inside training would
@@ -19,6 +21,8 @@ introduce gradient discontinuities.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,68 +71,56 @@ def plane_rotation(i: int, j: int, theta: float, n: int) -> np.ndarray:
     return R
 
 
-def _factor_stack(angles: np.ndarray, n: int) -> np.ndarray:
-    """Planar factors for each angle row: shape (q, batch, n, n)."""
-    q, batch = angles.shape[1], angles.shape[0]
-    F = np.broadcast_to(np.eye(n), (q, batch, n, n)).copy()
-    for k, (i, j) in enumerate(plane_indices(n)):
-        c = np.cos(angles[:, k])
-        s = np.sin(angles[:, k])
-        F[k, :, i - 1, i - 1] = c
-        F[k, :, j - 1, j - 1] = c
-        F[k, :, i - 1, j - 1] = s
-        F[k, :, j - 1, i - 1] = -s
-    return F
+@lru_cache(maxsize=None)
+def _layers(n: int) -> tuple[np.ndarray, tuple[tuple[int, int, slice, slice], ...]]:
+    """The product as 2n-3 layers of pairwise-disjoint planes.
 
+    Plane (i, j) goes in layer i + j - 2. Of two planes that share an index,
+    the one earlier in product order has the smaller index sum, so their
+    order is kept; planes without a shared index commute. Applying the
+    layers in turn therefore gives the same product. Inside a layer i rises
+    and j falls, so its i-columns and its j-columns are each one basic slice.
 
-def _factor_derivatives(angles: np.ndarray, n: int) -> np.ndarray:
-    """Elementwise derivative of each planar factor w.r.t. its own angle."""
-    q, batch = angles.shape[1], angles.shape[0]
-    D = np.zeros((q, batch, n, n))
-    for k, (i, j) in enumerate(plane_indices(n)):
-        c = np.cos(angles[:, k])
-        s = np.sin(angles[:, k])
-        D[k, :, i - 1, i - 1] = -s
-        D[k, :, j - 1, j - 1] = -s
-        D[k, :, i - 1, j - 1] = c
-        D[k, :, j - 1, i - 1] = -c
-    return D
-
-
-def _compose_batch(angles: np.ndarray, n: int) -> np.ndarray:
-    F = _factor_stack(angles, n)
-    G = F[0].copy()
-    for k in range(1, F.shape[0]):
-        G = G @ F[k]
-    return G
-
-
-def _compose_grad_batch(angles: np.ndarray, upstream: np.ndarray, n: int) -> np.ndarray:
-    """Gradient of <upstream, g(theta)> per batch row.
-
-    d<U, G>/dt_k = <U, P_k . R'_k . S_k> where P_k and S_k are the ordered
-    products of the factors before and after factor k.
+    Returns the permutation taking lexicographic angle columns into layer
+    order, and each layer's (start, stop) range of that order with its
+    (I, J) column slices (0-based).
     """
-    F = _factor_stack(angles, n)
-    D = _factor_derivatives(angles, n)
-    q, batch = F.shape[0], F.shape[1]
-    eye = np.broadcast_to(np.eye(n), (batch, n, n))
+    position = {plane: k for k, plane in enumerate(plane_indices(n))}
+    order, layers = [], []
+    for total in range(3, 2 * n):
+        lo, hi, start = max(1, total - n), (total - 1) // 2, len(order)
+        order += [position[(i, total - i)] for i in range(lo, hi + 1)]
+        layers.append((start, len(order), slice(lo - 1, hi), slice(total - lo - 1, total - hi - 2, -1)))
+    perm = np.array(order, dtype=np.intp)
+    perm.setflags(write=False)
+    return perm, tuple(layers)
 
-    prefixes = np.empty_like(F)
-    P = eye.copy()
-    for k in range(q):
-        prefixes[k] = P
-        P = P @ F[k]
 
-    suffixes = np.empty_like(F)
-    S = eye.copy()
-    for k in range(q - 1, -1, -1):
-        suffixes[k] = S
-        S = F[k] @ S
+def _rotate_columns(M: np.ndarray, I: slice, J: slice, c: np.ndarray, s: np.ndarray) -> None:
+    """In place, M <- M . L for a layer L of disjoint planes; c, s broadcast over rows."""
+    MI, MJ = M[..., I], M[..., J]
+    new_I = MI * c - MJ * s
+    MJ[...] = MI * s + MJ * c
+    MI[...] = new_I
 
-    grads = np.empty((batch, q))
-    for k in range(q):
-        grads[:, k] = np.einsum("bij,bij->b", upstream, prefixes[k] @ D[k] @ suffixes[k])
+
+def _compose_grad_batch(cos, sin, G, upstream, layers) -> np.ndarray:
+    """Gradient of <upstream, G> per row, in layer order.
+
+    With Q_l the product of layers 1..l, the derivative of layer l's factor
+    for plane (i, j) is that factor times the unit rotation generator of the
+    plane, so the gradient is M_ij - M_ji of M_l = Q_l^T . U . G^T . Q_l.
+    M_0 = U . G^T, and M_l = L_l^T . M_(l-1) . L_l: a column update, then the
+    same update on rows. Memory is O(B n^2).
+    """
+    M = upstream @ np.swapaxes(G, 1, 2)
+    grads = np.empty_like(cos)
+    Mt = np.swapaxes(M, 1, 2)  # row updates of M are column updates of this view
+    for start, stop, I, J in layers:
+        c, s = cos[:, None, start:stop], sin[:, None, start:stop]
+        _rotate_columns(M, I, J, c, s)
+        _rotate_columns(Mt, I, J, c, s)
+        grads[:, start:stop] = M[:, I, J].diagonal(0, 1, 2) - M[:, J, I].diagonal(0, 1, 2)
     return grads
 
 
@@ -141,7 +133,7 @@ def compose_representation(angles, n: int | None = None) -> np.ndarray:
         n = latent_dim_for(angles.size)
     elif plane_count(n) != angles.size:
         raise ValueError(f"dimension {n} needs {plane_count(n)} angles, got {angles.size}")
-    return _compose_batch(angles[None, :], n)[0]
+    return rotation_matrices(angles).data
 
 
 def rotation_matrices(angles: Tensor) -> Tensor:
@@ -152,17 +144,22 @@ def rotation_matrices(angles: Tensor) -> Tensor:
     """
     angles = as_tensor(angles)
     single = angles.data.ndim == 1
-    A = (angles.data[None, :] if single else angles.data).copy()
+    A = angles.data[None, :] if single else angles.data
     if A.ndim != 2:
         raise ValueError(f"rotation_matrices expects (q,) or (B, q) angles, got {angles.shape}")
     n = latent_dim_for(A.shape[1])
-    G = _compose_batch(A, n)
+    perm, layers = _layers(n)
+    cos, sin = np.cos(A[:, perm]), np.sin(A[:, perm])
+    G = np.broadcast_to(np.eye(n), (A.shape[0], n, n)).copy()
+    for start, stop, I, J in layers:
+        _rotate_columns(G, I, J, cos[:, None, start:stop], sin[:, None, start:stop])
 
     def backward(g):
         if not angles.requires_grad:
             return
         U = g[None, :, :] if single else g
-        dA = _compose_grad_batch(A, U, n)
+        dA = np.empty_like(cos)
+        dA[:, perm] = _compose_grad_batch(cos, sin, G, U, layers)
         angles._accumulate(dA[0] if single else dA)
 
     return _node(G[0] if single else G, (angles,), backward)

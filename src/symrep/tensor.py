@@ -14,6 +14,7 @@ reproducibility plus gradient-check precision matter more than speed.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "concat",
     "sigmoid",
     "finite_diff_check",
+    "no_grad",
 ]
 
 NORM_EPS = 1e-12
@@ -162,10 +164,28 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Within this block ops record no graph, so their results hold no operands.
+
+    For forward passes whose gradients are never taken, such as scoring
+    held-out trials; values are computed exactly as outside the block.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _node(data, parents: tuple[Tensor, ...], backward) -> Tensor:
     """Wrap an op result; wire graph edges only when a parent needs gradients."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward

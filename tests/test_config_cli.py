@@ -151,6 +151,18 @@ class TestCmdTrain:
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "b")]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "predict-bench"])
+    @pytest.mark.parametrize("rate", [-1, 0])
+    def test_non_positive_learning_rate_exits_2(self, tmp_path, capsys, command, rate):
+        cfg_path = write_config(tmp_path, tiny_config(learning_rate=rate, start="center"))
+        out = tmp_path / "o"
+        argv = [command, "--config", str(cfg_path), "--out", str(out)]
+        if command == "predict-bench":
+            argv += ["--seeds", "1"]
+        assert main(argv) == 2
+        assert "learning_rate must be finite and > 0" in capsys.readouterr().err
+        assert not (out / "weights.symr").exists()
+
 
 @pytest.fixture()
 def trained_run(tmp_path_factory):
@@ -262,6 +274,16 @@ class TestCmdAnalyze:
         )
         assert code == 2
 
+    def test_sphere_model_atlas_and_projection_sample_states(self, tmp_path):
+        cfg_path = write_config(tmp_path, {"environment": {"type": "sphere"}, "n": 3, "total_steps": 3})
+        run, out = tmp_path / "run", tmp_path / "o"
+        assert main(["train", "--config", str(cfg_path), "--out", str(run)]) == 0
+        argv = ["analyze", "--weights", str(run / "weights.symr"), "--config", str(cfg_path)]
+        assert main(argv + ["--out", str(out), "--atlas", "--project-2d"]) == 0
+        atlas = (out / "latent_atlas.csv").read_text().splitlines()
+        assert atlas[0] == "state,z0,z1,z2" and len(atlas) == 501
+        assert len((out / "projection_0.csv").read_text().splitlines()) == 501
+
     @pytest.mark.parametrize("flag", ["--group-report", "--equivariance", "--atlas", "--project-2d"])
     def test_direct_model_weights_exit_2(self, tmp_path, capsys, flag):
         cfg_path = write_config(tmp_path, tiny_config(total_steps=1, model="direct"))
@@ -364,6 +386,19 @@ class TestCmdPredictBench:
         assert set(manifest["completed"]) == {"0", "1"}
         lines = (out / "rollout_curve.csv").read_text().splitlines()
         assert len(lines) == 7  # header + 3 models x 2 steps
+
+    @pytest.mark.parametrize("name", ["bench_manifest.json", "bench_seed_0.csv"])
+    def test_truncated_resume_file_exits_2_naming_it(self, tmp_path, capsys, name):
+        cfg_path = write_config(tmp_path, tiny_config(total_steps=1, start="center"))
+        out = tmp_path / "bench"
+        args = ["predict-bench", "--config", str(cfg_path), "--out", str(out), "--seeds", "1"]
+        args += ["--horizon", "2", "--trials", "2"]
+        assert main(args) == 0
+        assert not list(out.glob("*.tmp"))
+        path = out / name
+        path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2])
+        assert main(args) == 2
+        assert name in capsys.readouterr().err
 
     def test_changed_parameters_discard_partials(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tiny_config(total_steps=2, start="center"))

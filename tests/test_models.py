@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from symrep import rotations
-from symrep.environments import SphereWorld, TorusWorld, sample_trajectory, trajectory_rng
+from symrep.environments import SphereWorld, TorusWorld, sample_trajectory, stack_batch, trajectory_rng
 from symrep.models import (
     ActionTable,
     ContinuousActionNet,
@@ -148,15 +148,19 @@ class TestRollout:
             preds.append(sigmoid(model.decode(Tensor(z)).data))
         return np.stack(preds)
 
-    @pytest.mark.parametrize("kind", ["discrete", "continuous", "direct"])
-    def test_batched_prediction_matches_per_step_loop(self, kind):
+    @staticmethod
+    def model_and_trajectories(kind):
         env = SphereWorld() if kind == "continuous" else TorusWorld(4)
         if kind == "direct":
             model = DirectPredictor(rng(7), env.observation_dim, env.num_actions, latent_dim=3)
         else:
             model = SymmetryModel.build(rng(7), env.observation_dim, 3, None if env.continuous else 4)
         gen = rng(8)
-        trajs = [sample_trajectory(env, gen, 6) for _ in range(5)]
+        return env, model, [sample_trajectory(env, gen, 6) for _ in range(5)]
+
+    @pytest.mark.parametrize("kind", ["discrete", "continuous", "direct"])
+    def test_batched_prediction_matches_per_step_loop(self, kind):
+        env, model, trajs = self.model_and_trajectories(kind)
         batched = model.predict_sequence(trajs)
         assert batched.shape == (5, 6, env.observation_dim)
         for traj, preds in zip(trajs, batched):
@@ -164,6 +168,24 @@ class TestRollout:
         single = model.predict_sequence(trajs[2])
         assert single.shape == (6, env.observation_dim)
         assert np.allclose(single, batched[2], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["discrete", "continuous", "direct"])
+    def test_prediction_records_no_graph(self, kind, monkeypatch):
+        _, model, trajs = self.model_and_trajectories(kind)
+        obs, actions = stack_batch(trajs)
+        with_graph = model.rollout(obs[:, 0], actions)
+        assert all(logits.requires_grad for logits in with_graph)
+        rolled, rollout = [], model.rollout
+
+        def capture(first_obs, acts):
+            rolled.extend(rollout(first_obs, acts))
+            return rolled
+
+        monkeypatch.setattr(model, "rollout", capture)
+        preds = model.predict_sequence(trajs)
+        assert np.array_equal(preds, np.stack([sigmoid(t.data) for t in with_graph], axis=1))
+        assert rolled and not any(logits.requires_grad for logits in rolled)
+        assert all(p.grad is None for p in model.parameters())
 
     def test_discrete_rollout_composes_each_action_once(self, monkeypatch):
         rows = []
@@ -205,6 +227,19 @@ class TestWeightsPersistence:
         save_weights(p1, model.state_dict())
         save_weights(p2, load_weights(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_save_leaves_previous_file_intact(self, tmp_path, monkeypatch):
+        path = tmp_path / "w.symr"
+        save_weights(path, make_model(seed=1).state_dict())
+        before = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("disk went away")
+
+        monkeypatch.setattr("symrep.models.os.replace", crash)
+        with pytest.raises(OSError):
+            save_weights(path, make_model(seed=2).state_dict())
+        assert path.read_bytes() == before
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "w.symr"

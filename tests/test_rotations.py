@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from symrep.rotations import (
+    _layers,
     canonical_angles,
     compose_representation,
     entanglement_penalty,
@@ -101,6 +104,60 @@ def test_compose_matches_explicit_triple_product():
         @ plane_rotation(2, 3, 0.8, 3)
     )
     assert np.allclose(compose_representation(angles), expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_layer_table_splits_planes_into_disjoint_layers(n):
+    perm, layers = _layers(n)
+    assert sorted(perm.tolist()) == list(range(plane_count(n)))
+    assert len(layers) == 2 * n - 3
+    assert [start for start, *_ in layers] == [0] + [stop for _, stop, *_ in layers[:-1]]
+    assert layers[-1][1] == plane_count(n)
+    columns = np.arange(n)
+    for start, stop, I, J in layers:
+        planes = [plane_indices(n)[k] for k in perm[start:stop]]
+        touched = [i for plane in planes for i in plane]
+        assert len(set(touched)) == len(touched)  # pairwise disjoint
+        assert columns[I].tolist() == [i - 1 for i, _ in planes]
+        assert columns[J].tolist() == [j - 1 for _, j in planes]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_rotation_matrices_match_explicit_factor_product(n):
+    rng = np.random.default_rng(100 + n)
+    angles = rng.uniform(-np.pi, np.pi, (3, plane_count(n)))
+    mats = rotation_matrices(Tensor(angles)).data
+    for row, G in zip(angles, mats):
+        expected = np.eye(n)
+        for theta, (i, j) in zip(row, plane_indices(n)):
+            expected = expected @ plane_rotation(i, j, theta, n)
+        assert np.max(np.abs(G - expected)) < 1e-13
+
+
+def test_representation_backward_n16_finite_diff():
+    rng = np.random.default_rng(16)
+    angles = rng.uniform(-np.pi, np.pi, plane_count(16))
+    upstream = rng.standard_normal((16, 16))
+
+    def f(t):
+        return mul(rotation_matrices(t), Tensor(upstream)).sum()
+
+    assert finite_diff_check(f, angles) < 1e-5
+
+
+def test_forward_and_backward_memory_stays_quadratic_in_n():
+    # four (q, B, n, n) stacks would be 65 MB at n=32, B=4; the layered kernel needs O(B n^2)
+    rng = np.random.default_rng(32)
+    angles = rng.uniform(-np.pi, np.pi, (4, plane_count(32)))
+    upstream = rng.standard_normal((4, 32, 32))
+    angle_gradient(angles, upstream)  # warm the per-n layer table
+    tracemalloc.start()
+    try:
+        angle_gradient(angles, upstream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,6 +10,7 @@ from symrep.tensor import (
     gather_rows,
     matmul,
     mul,
+    no_grad,
     normalize_to_sphere,
     relu,
     transpose,
@@ -230,3 +231,18 @@ def test_deterministic_recomputation():
     l2, g2 = run()
     assert l1 == l2
     assert np.array_equal(g1, g2)
+
+
+def test_no_grad_records_no_graph_and_restores_on_exit():
+    w = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
+    x = Tensor(np.array([0.3, 0.7]))
+    with no_grad():
+        inside = relu(matmul(w, x))
+    assert not inside.requires_grad and inside._backward is None and inside._parents == ()
+    outside = relu(matmul(w, x))
+    assert np.array_equal(inside.data, outside.data)
+    assert outside.requires_grad
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("leaves the block")
+    assert matmul(w, x).requires_grad
