@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .environments import sample_trajectory, stack_batch
-from .rotations import canonical_angles, plane_indices
-from .tensor import sigmoid
+from .rotations import canonical_angles, plane_indices, rotation_matrices
+from .tensor import no_grad, sigmoid
 
 __all__ = [
     "GroupReport",
@@ -135,17 +135,19 @@ def equivariance_error(model, env, samples: int = 1000, seed: int = 0) -> Equiva
     Exhaustive for finite environments, sampled for continuous ones. Both
     encodings are unit vectors, so each error is at most 2.
     """
-    errors = []
     if env.continuous:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 3])))
-        for _ in range(samples):
-            state = env.random_state(rng)
-            action = (int(rng.integers(0, 3)), float(rng.uniform(-np.pi, np.pi)))
-            z = model.encode(env.observe(state)).data
-            z_next = model.encode(env.observe(env.step(state, action))).data
-            g = model.action_matrix(action)
-            errors.append(np.linalg.norm(z_next - g @ z))
+        pairs = [
+            (env.random_state(rng), (int(rng.integers(0, 3)), float(rng.uniform(-np.pi, np.pi))))
+            for _ in range(samples)
+        ]
+        z = _encode_states(model, env, np.stack([s for s, _ in pairs]))
+        z_next = _encode_states(model, env, np.stack([env.step(s, a) for s, a in pairs]))
+        with no_grad():
+            g = rotation_matrices(model.action_angles([a for _, a in pairs])).data
+        errors = np.linalg.norm(z_next - (g @ z[:, :, None])[:, :, 0], axis=1)
     else:
+        errors = []
         states = env.all_states()
         encoded = {env.state_id(s): model.encode(env.observe(s)).data for s in states}
         mats = {a: model.action_matrix(a) for a in range(env.num_actions)}
@@ -154,7 +156,7 @@ def equivariance_error(model, env, samples: int = 1000, seed: int = 0) -> Equiva
             for a in range(env.num_actions):
                 z_next = encoded[env.state_id(env.step(s, a))]
                 errors.append(np.linalg.norm(z_next - mats[a] @ z))
-    errors = np.array(errors)
+        errors = np.array(errors)
     return EquivarianceStats(float(errors.mean()), float(errors.max()), len(errors))
 
 
@@ -203,6 +205,19 @@ def _ci_half_width(values: np.ndarray) -> np.ndarray:
 # (16 x 11 x 25), so scoring never raises the peak memory that training sets,
 # whatever the number of trials.
 _EVAL_BATCH_ENTRIES = 1 << 12
+
+
+def _encode_states(model, env, states: np.ndarray) -> np.ndarray:
+    """Latent rows of a (k, 3, 3) stack of continuous states, without a graph.
+
+    States are observed and encoded in stacked batches of at most
+    ``_EVAL_BATCH_ENTRIES`` observation entries, so that a thousand states
+    raise the peak memory no more than held-out scoring does.
+    """
+    chunk = max(1, _EVAL_BATCH_ENTRIES // env.observation_dim)
+    with no_grad():
+        batches = [states[lo : lo + chunk] for lo in range(0, len(states), chunk)]
+        return np.concatenate([model.encode(env.observe(batch)).data for batch in batches])
 
 
 def rollout_error_curve(
@@ -255,11 +270,8 @@ def latent_atlas(model, env) -> list[tuple[str, np.ndarray]]:
 def sampled_latent_atlas(model, env, count: int = 500, seed: int = 0) -> list[tuple[str, np.ndarray]]:
     """Latent table over randomly sampled states of a continuous environment."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 4])))
-    rows = []
-    for i in range(count):
-        state = env.random_state(rng)
-        rows.append((str(i), model.encode(env.observe(state)).data.copy()))
-    return rows
+    states = np.stack([env.random_state(rng) for _ in range(count)])
+    return [(str(i), z) for i, z in enumerate(_encode_states(model, env, states))]
 
 
 def save_atlas_csv(atlas, path) -> None:

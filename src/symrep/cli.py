@@ -23,6 +23,7 @@ from . import analysis
 from .config import (
     ConfigError,
     ExperimentConfig,
+    _environment_dict,
     load_experiment_config,
     resolved_config_dict,
     save_resolved_config,
@@ -85,6 +86,7 @@ def _load_model(cfg: ExperimentConfig, weights_path):
 
 
 def cmd_analyze(args) -> int:
+    _require_at_least(0, **{"proj-seeds": args.proj_seeds})
     cfg = load_experiment_config(args.config)
     env, model = _load_model(cfg, args.weights)
     if model.kind == "direct":
@@ -154,12 +156,14 @@ def sample_dataset(train_cfg: TrainConfig, count: int):
 
 
 def cmd_export_dataset(args) -> int:
+    _require_at_least(0, count=args.count)
     cfg = load_experiment_config(args.config)
     _apply_seed_override(cfg, args.seed)
     out = _resolve_out(args, cfg)
     env, trajectories = sample_dataset(cfg.train, args.count)
+    environment = _environment_dict(cfg.train.env)
     try:
-        save_trajectories(out / "trajectories.csv", trajectories, env, seed=cfg.train.seed)
+        save_trajectories(out / "trajectories.csv", trajectories, env, environment, seed=cfg.train.seed)
     except OSError as exc:
         raise ConfigError(f"cannot write dataset: {exc}")
     save_resolved_config(cfg, out / "resolved_config.json")
@@ -377,8 +381,8 @@ def main(argv=None) -> int:
     except WeightsFormatError as exc:
         print(f"weights error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except OSError as exc:  # a missing, unreadable or unwritable path
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)

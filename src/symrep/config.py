@@ -69,6 +69,13 @@ class _Section:
             )
         return value
 
+    def take_non_negative(self, key: str, default=_MISSING) -> float:
+        """A float field that must be finite and >= 0 (a weight or an angle range)."""
+        value = self.take(key, float, default)
+        if not (np.isfinite(value) and value >= 0):
+            raise ConfigError(f"{self._where}.{key} must be finite and >= 0, got {value!r}")
+        return value
+
     def finish(self) -> None:
         unknown = sorted(set(self._map) - self._taken)
         if unknown:
@@ -98,18 +105,18 @@ def _parse_schedule(doc, total_steps: int):
     sec = _Section(doc, "lambda_schedule")
     kind = sec.take("kind", str)
     if kind == "constant":
-        schedule = ConstantSchedule(sec.take("value", float))
+        schedule = ConstantSchedule(sec.take_non_negative("value"))
     elif kind == "linear_ramp":
         schedule = LinearRampSchedule(
             sec.take("start_step", int, 0),
             sec.take("end_step", int, max((2 * total_steps) // 3, 1)),
-            sec.take("max_value", float, 0.1),
+            sec.take_non_negative("max_value", 0.1),
         )
     elif kind == "step":
         schedule = StepSchedule(
             sec.take("switch_fraction", float, 0.5),
-            sec.take("low", float),
-            sec.take("high", float),
+            sec.take_non_negative("low"),
+            sec.take_non_negative("high"),
         )
     else:
         raise ConfigError(f"lambda_schedule.kind must be constant, linear_ramp or step, got {kind!r}")
@@ -120,8 +127,8 @@ def _parse_schedule(doc, total_steps: int):
 def _parse_curriculum(doc) -> AngleCurriculum:
     sec = _Section(doc, "curriculum")
     curriculum = AngleCurriculum(
-        start_range=sec.take("start_range", float, 2.0 * np.pi / 5.0),
-        end_range=sec.take("end_range", float, float(np.pi)),
+        start_range=sec.take_non_negative("start_range", 2.0 * np.pi / 5.0),
+        end_range=sec.take_non_negative("end_range", float(np.pi)),
     )
     sec.finish()
     return curriculum
@@ -163,6 +170,8 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
         start=sec.take("start", str, "random"),
         model=sec.take("model", str, "structured"),
     )
+    if train.model == "direct" and env.kind == "sphere":
+        raise ConfigError("model 'direct' needs discrete actions; the sphere's are continuous")
     out_dir = sec.take("out_dir", str, None)
     analyses = sec.take("analyses", list, [])
     for a in analyses:
@@ -185,7 +194,9 @@ def load_experiment_config(path) -> ExperimentConfig:
         doc = json.loads(path.read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, or no permission to read
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     try:
         cfg = parse_experiment_config(doc)

@@ -188,7 +188,8 @@ class SphereWorld:
     The state is the full orientation matrix; observations depend only on
     the ball position (orientation applied to the reference pole (0, 0, 1)),
     encoded as Gaussian densities over a 10x10x10 voxel grid covering
-    [-1, 1]^3, peak-normalised to 1.
+    [-1, 1]^3, peak-normalised to 1. The voxel centres are kept as a (3, D)
+    array, one contiguous row per axis, so the distance sums run along D.
     """
 
     continuous = True
@@ -198,7 +199,7 @@ class SphereWorld:
         width = 2.0 / self.grid
         centers_1d = -1.0 + width * (np.arange(self.grid) + 0.5)
         xs, ys, zs = np.meshgrid(centers_1d, centers_1d, centers_1d, indexing="ij")
-        self._centers = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
+        self._centers = np.stack([xs.ravel(), ys.ravel(), zs.ravel()])
         self._sigma = width  # one voxel width
         self.reference = np.array([0.0, 0.0, 1.0])
 
@@ -227,10 +228,15 @@ class SphereWorld:
         return out
 
     def observe(self, orientation: np.ndarray) -> np.ndarray:
+        """Density grid (D,) of one orientation (3, 3), or (k, D) of a stack (k, 3, 3).
+
+        Each row is normalised by its own peak; a stacked row equals the
+        single-state observation bit for bit.
+        """
         center = orientation @ self.reference
-        d2 = ((self._centers - center) ** 2).sum(axis=1)
+        d2 = ((self._centers - center[..., :, None]) ** 2).sum(axis=-2)
         density = np.exp(-d2 / (2.0 * self._sigma**2))
-        return density / density.max()
+        return density / density.max(axis=-1, keepdims=True)
 
     def center_state(self) -> np.ndarray:
         return np.eye(3)
@@ -279,12 +285,12 @@ def sample_trajectory(env, rng: np.random.Generator, m: int, start=None, angle_r
     """Roll m uniformly random actions from ``start`` (random when omitted).
 
     For the sphere, axes are uniform over {0, 1, 2} and angles uniform over
-    ``angle_range`` (defaults to [-pi, pi]).
+    ``angle_range`` (defaults to [-pi, pi]), and the m+1 states are observed
+    in one stacked call.
     """
     if m < 1:
         raise ValueError(f"trajectory length must be >= 1, got {m}")
-    state = env.random_state(rng) if start is None else start
-    observations = [env.observe(state)]
+    states = [env.random_state(rng) if start is None else start]
     if env.continuous:
         lo, hi = angle_range if angle_range is not None else (-np.pi, np.pi)
         axes = rng.integers(0, 3, size=m)
@@ -294,30 +300,25 @@ def sample_trajectory(env, rng: np.random.Generator, m: int, start=None, angle_r
     else:
         actions = rng.integers(0, env.num_actions, size=m)
         steps = [int(a) for a in actions]
-    start_state = state
     for action in steps:
-        state = env.step(state, action)
-        observations.append(env.observe(state))
-    return Trajectory(np.stack(observations), np.asarray(actions), start_state)
+        states.append(env.step(states[-1], action))
+    if env.continuous:
+        observations = env.observe(np.stack(states))
+    else:
+        observations = np.stack([env.observe(s) for s in states])
+    return Trajectory(observations, np.asarray(actions), states[0])
 
 
-def env_spec_dict(env) -> dict:
-    if isinstance(env, TorusWorld):
-        return {"type": "torus", "p": env.p}
-    if isinstance(env, FactorWorld):
-        return {"type": "factor", "mixed": env.mixed, "mix_seed": env.mix_seed}
-    if isinstance(env, SphereWorld):
-        return {"type": "sphere"}
-    raise TypeError(f"unknown environment {type(env).__name__}")
-
-
-def save_trajectories(csv_path, trajectories, env, seed=None, meta_path=None) -> None:
+def save_trajectories(
+    csv_path, trajectories, env, environment: dict, seed=None, meta_path=None
+) -> None:
     """Write trajectories as CSV rows ``step,action_id,axis,angle,obs...``.
 
     A new trajectory begins whenever the step column resets to zero; fields
     that do not apply to the environment kind are left empty. The sidecar
-    JSON records the environment, the sampling seed and the shape, which is
-    enough to regenerate the exact dataset.
+    JSON records ``environment`` (the config's mapping that builds ``env``),
+    the sampling seed and the shape, which is enough to regenerate the exact
+    dataset.
     """
     csv_path = Path(csv_path)
     meta_path = Path(meta_path) if meta_path else csv_path.with_suffix(".meta.json")
@@ -337,7 +338,7 @@ def save_trajectories(csv_path, trajectories, env, seed=None, meta_path=None) ->
                     action_fields = ["", "", ""]
                 writer.writerow([str(k)] + action_fields + [repr(float(v)) for v in obs])
     meta = {
-        "environment": env_spec_dict(env),
+        "environment": environment,
         "seed": seed,
         "trajectory_count": len(trajectories),
         "steps_per_trajectory": trajectories[0].m if trajectories else 0,

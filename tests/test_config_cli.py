@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from symrep.cli import main
 from symrep.config import (
@@ -82,6 +87,16 @@ class TestConfigParsing:
         path = write_config(tmp_path, tiny_config(n=1))
         with pytest.raises(ConfigError):
             load_experiment_config(path)
+
+    @pytest.mark.parametrize("kind", ["directory", "binary"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe\x00")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -164,6 +179,24 @@ class TestCmdTrain:
         assert not (out / "weights.symr").exists()
 
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"lambda_schedule": {"kind": "linear_ramp", "max_value": -1.0}}, "lambda_schedule.max_value"),
+            ({"lambda_schedule": {"kind": "constant", "value": float("nan")}}, "lambda_schedule.value"),
+            ({"lambda_schedule": {"kind": "step", "low": 0.0, "high": float("inf")}}, "lambda_schedule.high"),
+            ({"environment": {"type": "sphere"}, "curriculum": {"start_range": -1.0}}, "curriculum.start_range"),
+            ({"environment": {"type": "sphere"}, "curriculum": {"end_range": float("inf")}}, "curriculum.end_range"),
+            ({"environment": {"type": "sphere"}, "model": "direct"}, "model 'direct' needs discrete actions"),
+        ],
+    )
+    def test_values_training_cannot_use_exit_2(self, tmp_path, capsys, overrides, message):
+        cfg_path = write_config(tmp_path, tiny_config(**overrides))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o" / "weights.symr").exists()
+
+
 @pytest.fixture()
 def trained_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("trained")
@@ -213,6 +246,19 @@ class TestCmdAnalyze:
         )
         assert code == 0
         assert len(list(out.glob("projection_*.csv"))) == 5
+
+    def test_negative_projection_count_exits_2(self, trained_run, tmp_path, capsys):
+        cfg_path, run = trained_run
+        argv = ["analyze", "--weights", str(run / "weights.symr"), "--config", str(cfg_path)]
+        argv += ["--out", str(tmp_path / "an"), "--project-2d", "--proj-seeds", "-1"]
+        assert main(argv) == 2
+        assert "--proj-seeds must be >= 0" in capsys.readouterr().err
+
+    def test_weights_path_that_is_a_directory_exits_2(self, trained_run, tmp_path, capsys):
+        cfg_path, _ = trained_run
+        argv = ["analyze", "--weights", str(tmp_path), "--config", str(cfg_path)]
+        assert main(argv + ["--out", str(tmp_path / "an"), "--equivariance"]) == 2
+        assert "file error" in capsys.readouterr().err
 
     def test_corrupted_magic_exits_2(self, trained_run, tmp_path, capsys):
         cfg_path, run = trained_run
@@ -319,12 +365,37 @@ class TestCmdExportDataset:
             assert np.array_equal(again.observations, traj.observations)
             assert np.array_equal(again.actions, traj.actions)
 
+    def test_negative_count_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, tiny_config())
+        out = tmp_path / "data"
+        assert main(["export-dataset", "--config", str(cfg_path), "--out", str(out), "--count", "-1"]) == 2
+        assert "--count must be >= 0" in capsys.readouterr().err
+        assert not (out / "trajectories.csv").exists()
+
     def test_fixed_seed_identical_files(self, tmp_path):
         cfg_path = write_config(tmp_path, tiny_config())
         o1, o2 = tmp_path / "d1", tmp_path / "d2"
         for out in (o1, o2):
             assert main(["export-dataset", "--config", str(cfg_path), "--out", str(out), "--count", "3"]) == 0
         assert (o1 / "trajectories.csv").read_bytes() == (o2 / "trajectories.csv").read_bytes()
+
+
+    @pytest.mark.parametrize(
+        "environment, obs_dim, pinned_environment",
+        [
+            ({"type": "torus", "p": 3}, 9, '{\n    "type": "torus",\n    "p": 3\n  }'),
+            ({"type": "sphere"}, 1000, '{\n    "type": "sphere"\n  }'),
+        ],
+    )
+    def test_metadata_sidecar_bytes_are_pinned(self, tmp_path, environment, obs_dim, pinned_environment):
+        cfg_path = write_config(tmp_path, {"environment": environment, "n": 3, "m": 2, "seed": 4})
+        out = tmp_path / "data"
+        assert main(["export-dataset", "--config", str(cfg_path), "--out", str(out), "--count", "2"]) == 0
+        assert (out / "trajectories.meta.json").read_text() == (
+            f'{{\n  "environment": {pinned_environment},\n  "seed": 4,\n'
+            f'  "trajectory_count": 2,\n  "steps_per_trajectory": 2,\n'
+            f'  "observation_dim": {obs_dim}\n}}\n'
+        )
 
 
 class TestCmdPredictBench:
@@ -432,3 +503,125 @@ class TestCmdPredictBench:
         cfg_path = write_config(tmp_path, tiny_config(total_steps=1, seeds=[]))
         assert main(["predict-bench", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert "at least one seed" in capsys.readouterr().err
+
+
+# One field of a tiny config, or one value of the command line, is changed at a
+# time; whatever the change, `main` must end with a documented exit code.
+MUTANT_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 6),
+    st.sampled_from([-1.0, 0.0, 0.5, 2.5, float("nan"), float("inf"), -float("inf")]),
+    st.sampled_from(["", "x", "torus", "factor", "sphere", "cube", "center", "direct", "linear_ramp"]),
+    st.sampled_from([[], [1, -1], {}, {"kind": "constant"}, {"type": "cube"}]),
+)
+MUTABLE_FIELDS = (
+    ("environment",),
+    ("environment", "type"),
+    ("environment", "p"),
+    ("n",),
+    ("m",),
+    ("batch_size",),
+    ("total_steps",),
+    ("learning_rate",),
+    ("seed",),
+    ("start",),
+    ("model",),
+    ("analyses",),
+    ("seeds",),
+    ("lambda_schedule",),
+    ("lambda_schedule", "kind"),
+    ("lambda_schedule", "max_value"),
+    ("lambda_schedule", "end_step"),
+    ("curriculum", "start_range"),
+    ("curriculum", "end_range"),
+    ("surplus_key",),
+)
+MUTANT_ARGS = ["-1", "0", "1", "2.5", "abc", ""]
+
+
+def mutation_base(kind):
+    doc = tiny_config(
+        lambda_schedule={"kind": "linear_ramp", "start_step": 0, "end_step": 2, "max_value": 0.1},
+        curriculum={"start_range": 1.0, "end_range": 2.0},
+        analyses=["equivariance"],
+        seeds=[0],
+    )
+    if kind == "sphere":
+        doc.update(environment={"type": "sphere"}, n=3)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def mutation_weights(tmp_path_factory):
+    """Weights of the unmutated torus and sphere configs, for ``analyze``."""
+    paths = {}
+    for kind in ("torus", "sphere"):
+        tmp = tmp_path_factory.mktemp(f"weights_{kind}")
+        cfg_path = write_config(tmp, mutation_base(kind))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp)]) == 0
+        paths[kind] = tmp / "weights.symr"
+    return paths
+
+
+def command_argv(command, kind, cfg_path, out, weights):
+    head = [command, "--config", str(cfg_path), "--out", str(out)]
+    if command == "train":
+        return head + ["--seed", "1"]
+    if command == "analyze":
+        flags = ["--equivariance", "--atlas", "--project-2d", "--proj-seeds", "1"]
+        if kind == "torus":
+            flags += ["--group-report", "--dimension-usage"]
+        else:
+            flags += ["--angle-sweep"]
+        return head + ["--weights", str(weights[kind])] + flags
+    if command == "predict-bench":
+        return head + ["--seeds", "1", "--horizon", "2", "--trials", "2"]
+    return head + ["--count", "2", "--seed", "1"]
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_config_or_argv_ends_with_a_documented_exit_code(data, mutation_weights, tmp_path_factory):
+    kind = data.draw(st.sampled_from(["torus", "sphere"]), label="environment")
+    command = data.draw(
+        st.sampled_from(["train", "analyze", "predict-bench", "export-dataset"]), label="command"
+    )
+    doc = mutation_base(kind)
+    tmp = tmp_path_factory.mktemp("mutant")
+    argv = command_argv(command, kind, tmp / "config.json", tmp / "out", mutation_weights)
+    if data.draw(st.booleans(), label="mutate the config"):
+        *parents, key = data.draw(st.sampled_from(MUTABLE_FIELDS), label="field")
+        section = doc
+        for name in parents:
+            section = section[name]
+        if data.draw(st.booleans(), label="remove the field"):
+            section.pop(key, None)
+        else:
+            section[key] = data.draw(MUTANT_VALUES, label="value")
+    else:
+        values = [i for i in range(2, len(argv)) if not argv[i].startswith("--")]
+        i = data.draw(st.sampled_from(values), label="argument")
+        if data.draw(st.booleans(), label="remove the option"):
+            del argv[i - 1 : i + 1]
+        else:
+            argv[i] = data.draw(st.sampled_from(MUTANT_ARGS), label="value")
+    write_config(tmp, doc)
+    stderr = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(tmp)  # a mutated --out or --config may name a relative path
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2, 3), (argv, doc, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()

@@ -14,6 +14,7 @@ from symrep.environments import (
     save_trajectories,
     trajectory_rng,
 )
+from symrep.training import EnvironmentSpec, TrainConfig, generate_batch
 
 UP, DOWN, LEFT, RIGHT = 0, 1, 2, 3
 
@@ -169,6 +170,16 @@ class TestSphere:
         turned = env.step(s, (1, 2 * np.pi))
         assert np.allclose(env.observe(s), env.observe(turned), atol=1e-9)
 
+    @pytest.mark.parametrize("k", [1, 6, 50])
+    def test_stacked_observe_equals_single_calls(self, k):
+        env = SphereWorld()
+        gen = rng(k)
+        states = np.stack([env.random_state(gen) for _ in range(k)] + [env.center_state()])
+        stacked = env.observe(states)
+        assert stacked.shape == (k + 1, env.observation_dim)
+        assert np.array_equal(stacked, np.stack([env.observe(s) for s in states]))
+        assert env.observe(env.center_state()).shape == (env.observation_dim,)
+
 
 class TestTrajectories:
     def test_length_contract(self):
@@ -199,6 +210,30 @@ class TestTrajectories:
             rebuilt.append(env.observe(state))
         assert np.array_equal(np.stack(rebuilt), traj.observations)
 
+    def test_sphere_trajectory_observes_once(self, monkeypatch):
+        calls = []
+        observe = SphereWorld.observe
+
+        def counted(self, orientation):
+            calls.append(np.shape(orientation))
+            return observe(self, orientation)
+
+        monkeypatch.setattr(SphereWorld, "observe", counted)
+        traj = sample_trajectory(SphereWorld(), rng(12), m=5)
+        assert calls == [(6, 3, 3)]
+        assert traj.observations.shape == (6, 1000)
+
+    @pytest.mark.parametrize("step", [0, 1, 400])
+    def test_sphere_training_batch_equals_per_state_replay(self, step):
+        config = TrainConfig(env=EnvironmentSpec("sphere"), n=3, total_steps=560)
+        env = config.env.build()
+        for traj in generate_batch(env, config, step):
+            states = [traj.start_state]
+            for axis, angle in traj.actions:
+                states.append(env.step(states[-1], (int(axis), float(angle))))
+            assert np.array_equal(traj.observations, np.stack([env.observe(s) for s in states]))
+            assert np.array_equal(traj.observations, env.observe(np.stack(states)))
+
     def test_continuous_angles_respect_range(self):
         env = SphereWorld()
         traj = sample_trajectory(env, rng(13), m=50, angle_range=(-0.5, 0.5))
@@ -215,7 +250,7 @@ class TestTrajectoryIO:
         env = TorusWorld(4)
         trajs = [sample_trajectory(env, trajectory_rng(3, 0, i), m=4) for i in range(3)]
         path = tmp_path / "data.csv"
-        save_trajectories(path, trajs, env, seed=3)
+        save_trajectories(path, trajs, env, {"type": "torus", "p": 4}, seed=3)
         loaded, meta = load_trajectories(path)
         assert meta["environment"] == {"type": "torus", "p": 4}
         assert meta["seed"] == 3
@@ -228,7 +263,7 @@ class TestTrajectoryIO:
         env = SphereWorld()
         trajs = [sample_trajectory(env, trajectory_rng(5, 0, i), m=3) for i in range(2)]
         path = tmp_path / "sphere.csv"
-        save_trajectories(path, trajs, env, seed=5)
+        save_trajectories(path, trajs, env, {"type": "sphere"}, seed=5)
         loaded, _ = load_trajectories(path)
         for orig, back in zip(trajs, loaded):
             assert np.array_equal(orig.observations, back.observations)
@@ -236,15 +271,16 @@ class TestTrajectoryIO:
 
     def test_export_is_byte_deterministic(self, tmp_path):
         env = FactorWorld()
+        spec = {"type": "factor", "mixed": False, "mix_seed": 0}
         for name in ("a", "b"):
             trajs = [sample_trajectory(env, trajectory_rng(8, 0, i), m=5) for i in range(2)]
-            save_trajectories(tmp_path / f"{name}.csv", trajs, env, seed=8)
+            save_trajectories(tmp_path / f"{name}.csv", trajs, env, spec, seed=8)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_regeneration_from_metadata_seed(self, tmp_path):
         env = TorusWorld(3)
         trajs = [sample_trajectory(env, trajectory_rng(21, 0, i), m=4) for i in range(2)]
-        save_trajectories(tmp_path / "d.csv", trajs, env, seed=21)
+        save_trajectories(tmp_path / "d.csv", trajs, env, {"type": "torus", "p": 3}, seed=21)
         loaded, meta = load_trajectories(tmp_path / "d.csv")
         env2 = TorusWorld(meta["environment"]["p"])
         for i, back in enumerate(loaded):
@@ -255,7 +291,7 @@ class TestTrajectoryIO:
 
     def test_empty_dataset_has_valid_metadata(self, tmp_path):
         env = TorusWorld(3)
-        save_trajectories(tmp_path / "empty.csv", [], env, seed=0)
+        save_trajectories(tmp_path / "empty.csv", [], env, {"type": "torus", "p": 3}, seed=0)
         loaded, meta = load_trajectories(tmp_path / "empty.csv")
         assert loaded == []
         assert meta["trajectory_count"] == 0
