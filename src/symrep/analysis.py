@@ -186,10 +186,6 @@ class RolloutCurve:
     def accuracy_mean(self) -> np.ndarray:
         return self.accuracy.mean(axis=0)
 
-    @property
-    def accuracy_ci(self) -> np.ndarray:
-        return _ci_half_width(self.accuracy)
-
 
 def _ci_half_width(values: np.ndarray) -> np.ndarray:
     """95% confidence half-width of the mean across the first axis."""

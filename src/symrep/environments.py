@@ -178,9 +178,6 @@ class FactorWorld:
     def action_order(self, action: int) -> int:
         return 5
 
-    def is_first_factor(self, action: int) -> bool:
-        return action < 6
-
 
 class SphereWorld:
     """Ball on the unit sphere, rotated continuously about the x, y, z axes.

@@ -7,8 +7,9 @@ logits (probabilities materialise only inside losses and reports). Discrete
 actions own a lookup table of rotation angles; continuous actions are mapped
 to angles by a small network taking the raw (axis index, angle) pair.
 The structured model's batched ``rollout`` serves both the training loss and
-held-out prediction; the baseline is trained one step at a time and rolls out
-by feeding its own predictions back in.
+held-out prediction: it rotates the latent step by step and decodes all m
+steps in one decoder pass. The baseline is trained on all m teacher-forced
+steps in one pass and rolls out by feeding its own predictions back in.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import rotations
 from .environments import Trajectory, stack_batch
-from .tensor import Tensor, as_tensor, concat, gather_rows, matmul, add, relu, normalize_to_sphere, no_grad, sigmoid
+from .tensor import Tensor, as_tensor, concat, gather_rows, matmul, add, relu, normalize_to_sphere, no_grad, reshape, sigmoid
 
 __all__ = [
     "Linear",
@@ -160,8 +161,8 @@ class ContinuousActionNet:
 class _Predictor:
     """What both model kinds share: multi-step prediction and weights as named arrays.
 
-    Subclasses provide ``rollout(first_obs, actions) -> list[Tensor]`` and
-    ``named_parameters()``.
+    Subclasses provide ``rollout(first_obs, actions) -> Tensor`` of (m, B,
+    obs_dim) logits and ``named_parameters()``.
     """
 
     def predict_sequence(self, trajectories) -> np.ndarray:
@@ -174,8 +175,8 @@ class _Predictor:
         """
         obs, actions = stack_batch(trajectories)
         with no_grad():
-            step_logits = self.rollout(obs[:, 0], actions)
-        probs = np.stack([sigmoid(logits.data) for logits in step_logits], axis=1)
+            logits = self.rollout(obs[:, 0], actions)
+        probs = sigmoid(logits.data).swapaxes(0, 1)
         return probs[0] if isinstance(trajectories, Trajectory) else probs
 
     def parameters(self) -> list[Tensor]:
@@ -240,14 +241,15 @@ class SymmetryModel(_Predictor):
             angles = self.actions.angles_for(np.asarray(action, dtype=np.float64)).data
         return rotations.compose_representation(angles)
 
-    def rollout(self, first_obs, actions) -> list[Tensor]:
-        """Latent rollout: encode once, rotate by each action's matrix, decode after every step.
+    def rollout(self, first_obs, actions) -> Tensor:
+        """Latent rollout: encode once, rotate by each action's matrix, decode every step.
 
         ``first_obs`` is (B, obs_dim) and ``actions`` holds one row of m actions
         per trajectory: (B, m) ids, or (B, m, 2) (axis, angle) pairs. A discrete
         model composes each action's matrix once and gathers it per row; a
-        continuous one composes a matrix per action instance. Returns the m
-        step logits, each (B, obs_dim).
+        continuous one composes a matrix per action instance. The m latents
+        are rotated one step at a time and then decoded together, in one
+        decoder pass over m * B rows. Returns (m, B, obs_dim) logits, step-major.
         """
         actions = np.asarray(actions)
         batch, m = actions.shape[:2]
@@ -258,11 +260,12 @@ class SymmetryModel(_Predictor):
             mats = rotations.rotation_matrices(self.action_angles(actions.reshape(batch * m, 2)))
             index = np.arange(batch * m).reshape(batch, m)
         z = self.encode(first_obs)
-        step_logits = []
+        latents = []
         for k in range(m):
             z = rotations.rotate_vectors(gather_rows(mats, index[:, k]), z)
-            step_logits.append(self.decode(z))
-        return step_logits
+            latents.append(z)
+        logits = self.decode(concat(latents, axis=0))
+        return reshape(logits, (m, batch, logits.shape[-1]))
 
     def named_parameters(self):
         return (
@@ -313,18 +316,19 @@ class DirectPredictor(_Predictor):
             return self.decoder(concat([z, Tensor(hot)], axis=1))
         return self.decoder(concat([z, Tensor(hot[0])], axis=0))
 
-    def rollout(self, first_obs, actions) -> list[Tensor]:
+    def rollout(self, first_obs, actions) -> Tensor:
         """Iterated one-step prediction from (B, obs_dim) observations and (B, m) ids.
 
         Each step feeds its own probabilities back in, so no gradient flows
-        between steps. Returns the m step logits, each (B, obs_dim).
+        between steps. Returns (m, B, obs_dim) logits, step-major.
         """
         actions = np.asarray(actions)
+        batch, m = actions.shape
         obs, step_logits = first_obs, []
-        for k in range(actions.shape[1]):
+        for k in range(m):
             step_logits.append(self.predict_logits(obs, actions[:, k]))
             obs = sigmoid(step_logits[-1].data)
-        return step_logits
+        return reshape(concat(step_logits, axis=0), (m, batch, self.obs_dim))
 
     def named_parameters(self):
         return self.encoder.named_parameters() + self.decoder.named_parameters()

@@ -26,6 +26,7 @@ __all__ = [
     "mul",
     "matmul",
     "transpose",
+    "reshape",
     "relu",
     "normalize_to_sphere",
     "bce_with_logits",
@@ -40,12 +41,20 @@ NORM_EPS = 1e-12
 
 
 def sigmoid(x) -> np.ndarray:
-    """Numerically stable logistic function on a plain array."""
+    """Numerically stable logistic function on a plain array.
+
+    exp only ever sees -|x|, so it cannot overflow: the result is
+    1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, with e = exp(-|x|).
+    Computed in place in two arrays of x's size.
+    """
     x = np.asarray(x, dtype=np.float64)
     pos = x >= 0
-    safe = np.where(pos, -x, x)  # always <= 0, exp cannot overflow
-    ex = np.exp(safe)
-    return np.where(pos, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    out = np.array(x)
+    np.negative(out, out=out, where=pos)
+    np.exp(out, out=out)
+    den = np.add(out, 1.0)
+    np.copyto(out, 1.0, where=pos)
+    return np.divide(out, den, out=out)
 
 
 class Tensor:
@@ -83,7 +92,11 @@ class Tensor:
         self.grad += g
 
     def backward(self) -> None:
-        """Backpropagate from a scalar output through the recorded graph."""
+        """Backpropagate from a scalar output through the recorded graph.
+
+        Leaves (parameters and inputs) keep their accumulated gradients;
+        interior nodes drop theirs as soon as they have been passed on.
+        """
         if self.data.size != 1:
             raise ValueError(
                 f"backward() requires a scalar output, got shape {self.data.shape}"
@@ -93,6 +106,9 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
+                # An interior gradient is spent once routed to the operands;
+                # freeing it keeps one graph's worth of them from piling up.
+                node.grad = None
 
     def sum(self) -> "Tensor":
         src = self
@@ -285,6 +301,18 @@ def transpose(a) -> Tensor:
     return _node(a.data.T, (a,), backward)
 
 
+def reshape(a, shape) -> Tensor:
+    """View of ``a`` with a new shape of the same size; backward reshapes the gradient back."""
+    a = as_tensor(a)
+    out = a.data.reshape(shape)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g.reshape(a.shape))
+
+    return _node(out, (a,), backward)
+
+
 def relu(a) -> Tensor:
     """Elementwise max(0, x); the gradient at exactly zero is zero."""
     a = as_tensor(a)
@@ -332,7 +360,8 @@ def bce_with_logits(logits, targets) -> Tensor:
 
     Uses the log-sum-exp form max(x,0) - x*t + log(1 + exp(-|x|)), which is
     finite for any finite logits; the backward (sigmoid(x) - t) / size is
-    defined everywhere.
+    defined everywhere. Targets may be a strided view. The forward pass holds
+    two arrays of the logits' size, the backward the two of ``sigmoid``.
     """
     logits, targets = as_tensor(logits), as_tensor(targets)
     if logits.shape != targets.shape:
@@ -341,12 +370,22 @@ def bce_with_logits(logits, targets) -> Tensor:
     if t.size and (t.min() < 0.0 or t.max() > 1.0):
         raise ValueError(f"bce targets must lie in [0, 1], got range [{t.min()}, {t.max()}]")
     x = logits.data
-    loss = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
+    loss = np.maximum(x, 0.0)
+    tail = np.multiply(x, t)
+    np.subtract(loss, tail, out=loss)
+    np.abs(x, out=tail)
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    np.add(loss, tail, out=loss)
 
     def backward(g):
         scale = float(g) / x.size
         if logits.requires_grad:
-            logits._accumulate((sigmoid(x) - t) * scale)
+            dx = sigmoid(x)
+            np.subtract(dx, t, out=dx)
+            np.multiply(dx, scale, out=dx)
+            logits._accumulate(dx)
         if targets.requires_grad:
             targets._accumulate(-x * scale)
 

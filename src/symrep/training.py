@@ -2,10 +2,11 @@
 
 One training step generates a fresh batch of trajectories, encodes each
 starting observation once, pushes the latent through the per-action rotation
-matrices, decodes after every step, and accumulates binary cross-entropy
-against the true observations. The objective is the batch-mean rollout loss
-plus lambda times the entanglement penalty; encoder, decoder and action
-parameters are updated jointly by Adam.
+matrices, decodes the latents of all steps in one batch, and scores them in
+one binary cross-entropy against the true observations. The objective is the
+batch-mean rollout loss, summed over steps, plus lambda times the
+entanglement penalty; encoder, decoder and action parameters are updated
+jointly by Adam.
 
 Batch generation derives one RNG per (run seed, step, trajectory index), so
 results are reproducible and independent of any parallel scheduling.
@@ -13,7 +14,6 @@ results are reproducible and independent of any parallel scheduling.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,7 +31,7 @@ from .environments import (
 from .models import DirectPredictor, SymmetryModel
 from .optim import Adam
 from .rotations import entanglement_penalty
-from .tensor import Tensor, bce_with_logits, gather_rows, mul
+from .tensor import Tensor, bce_with_logits, gather_rows, mul, reshape
 
 __all__ = [
     "EnvironmentSpec",
@@ -168,20 +168,18 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """Per-step loss records plus the wall-clock time of each step."""
+    """Per-step loss records."""
 
     steps: list[int] = field(default_factory=list)
     l_rec: list[float] = field(default_factory=list)
     l_ent: list[float] = field(default_factory=list)
     lam: list[float] = field(default_factory=list)
-    elapsed_ms: list[float] = field(default_factory=list)
 
-    def record(self, step, l_rec, l_ent, lam, elapsed_ms):
+    def record(self, step, l_rec, l_ent, lam):
         self.steps.append(step)
         self.l_rec.append(l_rec)
         self.l_ent.append(l_ent)
         self.lam.append(lam)
-        self.elapsed_ms.append(elapsed_ms)
 
     @property
     def final_l_rec(self) -> float | None:
@@ -191,45 +189,55 @@ class TrainReport:
     def final_l_ent(self) -> float | None:
         return self.l_ent[-1] if self.l_ent else None
 
-    def save_csv(self, path, include_timing: bool = False) -> None:
+    def save_csv(self, path) -> None:
         """Write ``step,l_rec,l_ent,lambda,elapsed_ms``.
 
-        The timing column is left empty by default so that identical runs
-        produce byte-identical files; pass include_timing=True for profiling.
+        The timing column stays empty, so that identical runs produce
+        byte-identical files.
         """
         lines = ["step,l_rec,l_ent,lambda,elapsed_ms"]
         for i, step in enumerate(self.steps):
-            ms = repr(self.elapsed_ms[i]) if include_timing else ""
-            lines.append(
-                f"{step},{self.l_rec[i]!r},{self.l_ent[i]!r},{self.lam[i]!r},{ms}"
-            )
+            lines.append(f"{step},{self.l_rec[i]!r},{self.l_ent[i]!r},{self.lam[i]!r},")
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _summed_bce(step_logits, obs) -> Tensor:
-    """Sum over steps of the batch-mean BCE of step k's logits against obs[:, k + 1]."""
-    terms = [bce_with_logits(logits, Tensor(obs[:, k + 1])) for k, logits in enumerate(step_logits)]
-    return sum(terms[1:], terms[0])
+def _summed_bce(logits: Tensor, obs) -> Tensor:
+    """Sum over steps k of the batch-mean BCE of logits[k] against obs[:, k + 1].
+
+    One BCE over the (m, B, obs_dim) logits against a strided view of the
+    targets: with equal-sized steps, the sum of the m step means is m times
+    the overall mean.
+    """
+    m = logits.shape[0]
+    return mul(bce_with_logits(logits, Tensor(obs[:, 1:].swapaxes(0, 1))), float(m))
 
 
 def rollout_loss(model: SymmetryModel, trajectories):
     """Reconstruction loss of a latent rollout (batch mean, summed over steps).
 
     The first observation is encoded once; every subsequent step applies the
-    action's rotation in latent space and decodes, so each intermediate
-    reconstruction contributes a mean binary cross-entropy term. Returns the
-    loss and the per-step logits.
+    action's rotation in latent space, and every intermediate reconstruction
+    contributes a mean binary cross-entropy term. Returns the loss and the
+    (m, B, obs_dim) logits.
     """
     obs, actions = stack_batch(trajectories)
-    step_logits = model.rollout(obs[:, 0], actions)
-    return _summed_bce(step_logits, obs), step_logits
+    logits = model.rollout(obs[:, 0], actions)
+    return _summed_bce(logits, obs), logits
 
 
 def direct_prediction_loss(model: DirectPredictor, trajectories):
-    """Teacher-forced one-step losses for the direct-prediction baseline."""
+    """Teacher-forced one-step losses for the direct-prediction baseline.
+
+    The m steps do not depend on each other, so they run as one batch of
+    m * B (observation, action) rows, step-major. Returns the loss and the
+    (m, B, obs_dim) logits.
+    """
     obs, actions = stack_batch(trajectories)
-    step_logits = [model.predict_logits(obs[:, k], actions[:, k]) for k in range(actions.shape[1])]
-    return _summed_bce(step_logits, obs), step_logits
+    batch, m = actions.shape
+    inputs = obs[:, :m].swapaxes(0, 1).reshape(m * batch, obs.shape[-1])
+    logits = model.predict_logits(inputs, actions.T.ravel())
+    logits = reshape(logits, (m, batch, obs.shape[-1]))
+    return _summed_bce(logits, obs), logits
 
 
 def batch_entanglement(model: SymmetryModel, trajectories) -> Tensor:
@@ -295,7 +303,6 @@ def train(config: TrainConfig):
     opt = Adam(model.parameters(), config.learning_rate)
     report = TrainReport()
     for step in range(config.total_steps):
-        t0 = time.perf_counter()
         batch = generate_batch(env, config, step)
         if config.model == "direct":
             l_rec, _ = direct_prediction_loss(model, batch)
@@ -315,6 +322,5 @@ def train(config: TrainConfig):
         opt.zero_grad()
         loss.backward()
         opt.step()
-        elapsed_ms = (time.perf_counter() - t0) * 1e3
-        report.record(step, l_rec_value, penalty.item() if penalty is not None else 0.0, lam, elapsed_ms)
+        report.record(step, l_rec_value, penalty.item() if penalty is not None else 0.0, lam)
     return model, report

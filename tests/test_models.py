@@ -6,6 +6,7 @@ from symrep.environments import SphereWorld, TorusWorld, sample_trajectory, stac
 from symrep.models import (
     ActionTable,
     ContinuousActionNet,
+    Decoder,
     DirectPredictor,
     SymmetryModel,
     WeightsFormatError,
@@ -14,6 +15,7 @@ from symrep.models import (
 )
 from symrep.rotations import plane_count
 from symrep.tensor import Tensor, sigmoid
+from symrep.training import direct_prediction_loss, rollout_loss
 
 
 def rng(seed=0):
@@ -174,17 +176,17 @@ class TestRollout:
         _, model, trajs = self.model_and_trajectories(kind)
         obs, actions = stack_batch(trajs)
         with_graph = model.rollout(obs[:, 0], actions)
-        assert all(logits.requires_grad for logits in with_graph)
+        assert with_graph.requires_grad and with_graph.shape == (6, 5, obs.shape[-1])
         rolled, rollout = [], model.rollout
 
         def capture(first_obs, acts):
-            rolled.extend(rollout(first_obs, acts))
-            return rolled
+            rolled.append(rollout(first_obs, acts))
+            return rolled[-1]
 
         monkeypatch.setattr(model, "rollout", capture)
         preds = model.predict_sequence(trajs)
-        assert np.array_equal(preds, np.stack([sigmoid(t.data) for t in with_graph], axis=1))
-        assert rolled and not any(logits.requires_grad for logits in rolled)
+        assert np.array_equal(preds, sigmoid(with_graph.data).swapaxes(0, 1))
+        assert len(rolled) == 1 and not rolled[0].requires_grad
         assert all(p.grad is None for p in model.parameters())
 
     def test_discrete_rollout_composes_each_action_once(self, monkeypatch):
@@ -201,8 +203,26 @@ class TestRollout:
         gen = rng(9)
         logits = model.rollout(np.stack([env.observe(env.random_state(gen)) for _ in range(8)]),
                                gen.integers(0, 4, size=(8, 5)))
-        assert len(logits) == 5 and logits[0].shape == (8, 16)
+        assert logits.shape == (5, 8, 16)
         assert rows == [4]
+
+    @pytest.mark.parametrize("kind", ["discrete", "continuous", "direct"])
+    def test_one_decoder_call_per_rollout(self, kind, monkeypatch):
+        _, model, trajs = self.model_and_trajectories(kind)
+        calls = []
+        decode = Decoder.__call__
+
+        def counted(decoder, z):
+            calls.append(z.shape)
+            return decode(decoder, z)
+
+        monkeypatch.setattr(Decoder, "__call__", counted)
+        if kind == "direct":
+            _, logits = direct_prediction_loss(model, trajs)
+        else:
+            _, logits = rollout_loss(model, trajs)
+        assert len(calls) == 1 and calls[0][0] == 6 * 5
+        assert logits.shape == (6, 5, model.decoder.obs_dim)
 
 
 class TestWeightsPersistence:

@@ -13,6 +13,8 @@ from symrep.tensor import (
     no_grad,
     normalize_to_sphere,
     relu,
+    reshape,
+    sigmoid,
     transpose,
 )
 
@@ -111,6 +113,60 @@ def test_bce_gradient_matches_finite_differences():
     targets = rng.uniform(0, 1, 10)
     err = finite_diff_check(lambda x: bce_with_logits(x, Tensor(targets)), logits)
     assert err < 1e-6
+
+
+def test_bce_on_a_strided_view_equals_bce_on_its_copy():
+    rng = np.random.default_rng(6)
+    logits = rng.standard_normal((3, 4, 5)) * 10.0
+    targets = rng.uniform(0, 1, (4, 3, 5)).swapaxes(0, 1)  # not contiguous
+    results = []
+    for t in (targets, np.ascontiguousarray(targets)):
+        x = Tensor(logits, requires_grad=True)
+        loss = bce_with_logits(x, Tensor(t))
+        loss.backward()
+        results.append((loss.item(), x.grad))
+    assert results[0][0] == results[1][0]
+    assert np.array_equal(results[0][1], results[1][1])
+
+
+def test_sigmoid_equals_the_two_branch_formula_bit_for_bit():
+    rng = np.random.default_rng(8)
+    x = np.concatenate([rng.standard_normal(1000) * 30.0, [0.0, -0.0, 1e-300, -1e-300, 80.0, -80.0, 5e-324]])
+    pos = x >= 0
+    ex = np.exp(np.where(pos, -x, x))
+    want = np.where(pos, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    assert np.array_equal(sigmoid(x).view(np.int64), want.view(np.int64))
+    assert sigmoid(0.0) == 0.5
+
+
+def test_reshape_is_a_view_with_a_gradient():
+    rng = np.random.default_rng(9)
+    x0 = rng.standard_normal((6, 2))
+    out = reshape(Tensor(x0), (2, 3, 2))
+    assert np.shares_memory(out.data, x0) and np.array_equal(out.data, x0.reshape(2, 3, 2))
+    w = rng.standard_normal((2, 3, 2))
+    assert finite_diff_check(lambda x: mul(reshape(x, (2, 3, 2)), Tensor(w)).sum(), x0) < 1e-8
+
+
+def test_backward_frees_interior_grads_and_keeps_leaf_grads():
+    rng = np.random.default_rng(10)
+    w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    x = Tensor(rng.standard_normal((4, 3)))
+    t = Tensor(rng.uniform(0, 1, (4, 2)))
+
+    def graph():
+        hidden = matmul(x, w)
+        act = relu(hidden)
+        return [hidden, act], bce_with_logits(act, t)
+
+    interior, loss = graph()
+    loss.backward()
+    first = w.grad.copy()
+    assert all(node.grad is None for node in interior + [loss])
+    assert x.grad is None and t.grad is None
+    _, loss = graph()
+    loss.backward()  # a leaf keeps accumulating across graphs
+    assert np.array_equal(w.grad, first + first)
 
 
 def test_gather_and_concat_values_and_gradients():

@@ -1,9 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from symrep.environments import TorusWorld, Trajectory, sample_trajectory, trajectory_rng
-from symrep.models import SymmetryModel
-from symrep.rotations import entanglement_penalty
+from symrep.environments import (
+    SphereWorld,
+    TorusWorld,
+    Trajectory,
+    sample_trajectory,
+    stack_batch,
+    trajectory_rng,
+)
+from symrep.models import DirectPredictor, SymmetryModel
+from symrep.rotations import entanglement_penalty, rotate_vectors, rotation_matrices
 from symrep.tensor import Tensor, bce_with_logits, finite_diff_check
 from symrep.training import (
     AngleCurriculum,
@@ -17,6 +26,7 @@ from symrep.training import (
     build_model,
     curriculum_range,
     direct_prediction_loss,
+    generate_batch,
     lambda_at,
     rollout_loss,
     total_loss,
@@ -76,7 +86,7 @@ class TestLosses:
         model = SymmetryModel.build(rng(1), env.observation_dim, 3, env.num_actions)
         traj = sample_trajectory(env, trajectory_rng(0, 0, 0), m=1)
         l_rec, logits = rollout_loss(model, traj)
-        assert len(logits) == 1
+        assert logits.shape == (1, 1, env.observation_dim)
         assert np.isfinite(l_rec.item())
 
     def test_rollout_gradient_wrt_angles_finite_diff(self):
@@ -157,6 +167,72 @@ class TestLosses:
         grads = model.actions.angles.grad
         assert np.any(grads[0] != 0.0)
         assert np.all(grads[1:] == 0.0)
+
+
+class TestBatchedLossesMatchPerStepLoop:
+    """One decoder pass and one BCE per rollout against the per-step loop they replaced."""
+
+    @staticmethod
+    def per_step_loss(model, trajs):
+        """Sum over steps of each step's own decode and batch-mean BCE."""
+        obs, actions = stack_batch(trajs)
+        terms = []
+        if model.kind == "direct":
+            for k in range(actions.shape[1]):
+                logits = model.predict_logits(obs[:, k], actions[:, k])
+                terms.append(bce_with_logits(logits, Tensor(obs[:, k + 1])))
+        else:
+            z = model.encode(obs[:, 0])
+            for k in range(actions.shape[1]):
+                z = rotate_vectors(rotation_matrices(model.action_angles(actions[:, k])), z)
+                terms.append(bce_with_logits(model.decode(z), Tensor(obs[:, k + 1])))
+        return sum(terms[1:], terms[0])
+
+    @staticmethod
+    def value_and_grads(model, loss_fn):
+        for p in model.parameters():
+            p.grad = None
+        loss = loss_fn()
+        loss.backward()
+        return loss.item(), [p.grad.copy() for p in model.parameters()]
+
+    @pytest.mark.parametrize("kind", ["discrete", "continuous", "direct"])
+    def test_value_and_every_gradient(self, kind):
+        env = SphereWorld() if kind == "continuous" else TorusWorld(4)
+        if kind == "direct":
+            model = DirectPredictor(rng(5), env.observation_dim, env.num_actions, latent_dim=3)
+            batched = direct_prediction_loss
+        else:
+            model = SymmetryModel.build(rng(5), env.observation_dim, 3, None if env.continuous else 4)
+            batched = rollout_loss
+        gen = rng(6)
+        trajs = [sample_trajectory(env, gen, 6) for _ in range(5)]
+        value, grads = self.value_and_grads(model, lambda: batched(model, trajs)[0])
+        want_value, want_grads = self.value_and_grads(model, lambda: self.per_step_loss(model, trajs))
+        assert value == pytest.approx(want_value, rel=1e-12, abs=0)
+        for (name, _), got, want in zip(model.named_parameters(), grads, want_grads):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+def test_sphere_step_peak_memory():
+    """One forward and backward at B=16, m=5 stays under 5 MB of traced allocations.
+
+    The (m * B, 1000) decoder arrays are the largest of the step; computing
+    the BCE in place and freeing each interior gradient once it is passed on
+    keeps the batched decode from holding more of them at once.
+    """
+    cfg = TrainConfig(env=EnvironmentSpec("sphere"), n=3, total_steps=1, m=5, batch_size=16)
+    env = cfg.env.build()
+    model = build_model(cfg, env)
+    batch = generate_batch(env, cfg, 0)
+    tracemalloc.start()
+    try:
+        l_rec, _ = rollout_loss(model, batch)
+        total_loss(l_rec, batch_entanglement(model, batch), 0.01).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 class TestTrainLoop:
