@@ -18,26 +18,7 @@ import numpy as np
 
 from .environments import sample_trajectory, stack_batch
 from .rotations import canonical_angles, plane_indices, rotation_matrices
-from .tensor import no_grad, sigmoid
-
-__all__ = [
-    "GroupReport",
-    "group_report",
-    "EquivarianceStats",
-    "equivariance_error",
-    "RolloutCurve",
-    "rollout_error_curve",
-    "bce_probabilities",
-    "latent_atlas",
-    "sampled_latent_atlas",
-    "ProjectionSpec",
-    "project_2d",
-    "DimensionUsage",
-    "dimension_usage",
-    "AngleSweep",
-    "continuous_angle_sweep",
-    "is_monotone",
-]
+from .tensor import no_grad
 
 
 def _frob(x: np.ndarray) -> float:
@@ -223,7 +204,6 @@ def rollout_error_curve(
     trials: int,
     seed: int = 0,
     start: str = "center",
-    angle_range=None,
 ) -> dict[str, RolloutCurve]:
     """Prediction error per rollout step for several models on shared episodes.
 
@@ -241,7 +221,7 @@ def rollout_error_curve(
     acc = {name: np.empty((trials, horizon)) for name, _ in named_models}
     for lo in range(0, trials, chunk):
         batch = [
-            sample_trajectory(env, rng, horizon, start_state, angle_range)
+            sample_trajectory(env, rng, horizon, start_state)
             for _ in range(min(chunk, trials - lo))
         ]
         truth = stack_batch(batch)[0][:, 1:]

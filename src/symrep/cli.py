@@ -93,7 +93,6 @@ def cmd_analyze(args) -> int:
         raise ConfigError("analyses inspect learnt action matrices; a direct model has none")
     out = _resolve_out(args, cfg)
 
-    selected = []
     flag_map = {
         "group-report": args.group_report,
         "equivariance": args.equivariance,
@@ -147,11 +146,10 @@ def sample_dataset(train_cfg: TrainConfig, count: int):
     """The trajectories ``export-dataset`` writes for a config and count."""
     env = train_cfg.env.build()
     start = None if train_cfg.start == "random" else env.center_state()
-    angle_range = None
     trajectories = []
     for i in range(count):
         rng = trajectory_rng(train_cfg.seed, 0, i)
-        trajectories.append(sample_trajectory(env, rng, train_cfg.m, start, angle_range))
+        trajectories.append(sample_trajectory(env, rng, train_cfg.m, start))
     return env, trajectories
 
 

@@ -23,8 +23,6 @@ from .training import (
     default_lambda_schedule,
 )
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_experiment_config", "parse_experiment_config"]
-
 KNOWN_ANALYSES = (
     "group-report",
     "equivariance",
@@ -98,6 +96,8 @@ def _parse_environment(doc) -> EnvironmentSpec:
     sec.finish()
     if spec.kind == "torus" and spec.p < 1:
         raise ConfigError(f"environment.p must be >= 1, got {spec.p}")
+    if spec.mix_seed < 0:
+        raise ConfigError(f"environment.mix_seed must be >= 0, got {spec.mix_seed}")
     return spec
 
 
@@ -107,14 +107,18 @@ def _parse_schedule(doc, total_steps: int):
     if kind == "constant":
         schedule = ConstantSchedule(sec.take_non_negative("value"))
     elif kind == "linear_ramp":
+        default = default_lambda_schedule(total_steps)
         schedule = LinearRampSchedule(
-            sec.take("start_step", int, 0),
-            sec.take("end_step", int, max((2 * total_steps) // 3, 1)),
-            sec.take_non_negative("max_value", 0.1),
+            sec.take("start_step", int, default.start_step),
+            sec.take("end_step", int, default.end_step),
+            sec.take_non_negative("max_value", default.max_value),
         )
     elif kind == "step":
+        switch_fraction = sec.take("switch_fraction", float, 0.5)
+        if not np.isfinite(switch_fraction):
+            raise ConfigError(f"lambda_schedule.switch_fraction must be finite, got {switch_fraction!r}")
         schedule = StepSchedule(
-            sec.take("switch_fraction", float, 0.5),
+            switch_fraction,
             sec.take_non_negative("low"),
             sec.take_non_negative("high"),
         )

@@ -23,20 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "TorusState",
-    "FactorState",
-    "TorusWorld",
-    "FactorWorld",
-    "SphereWorld",
-    "Trajectory",
-    "stack_batch",
-    "sample_trajectory",
-    "trajectory_rng",
-    "save_trajectories",
-    "load_trajectories",
-]
-
 
 @dataclass(frozen=True)
 class TorusState:
@@ -306,19 +292,16 @@ def sample_trajectory(env, rng: np.random.Generator, m: int, start=None, angle_r
     return Trajectory(observations, np.asarray(actions), states[0])
 
 
-def save_trajectories(
-    csv_path, trajectories, env, environment: dict, seed=None, meta_path=None
-) -> None:
+def save_trajectories(csv_path, trajectories, env, environment: dict, seed=None) -> None:
     """Write trajectories as CSV rows ``step,action_id,axis,angle,obs...``.
 
     A new trajectory begins whenever the step column resets to zero; fields
     that do not apply to the environment kind are left empty. The sidecar
-    JSON records ``environment`` (the config's mapping that builds ``env``),
-    the sampling seed and the shape, which is enough to regenerate the exact
-    dataset.
+    ``<name>.meta.json`` records ``environment`` (the config's mapping that
+    builds ``env``), the sampling seed and the shape, which is enough to
+    regenerate the exact dataset.
     """
     csv_path = Path(csv_path)
-    meta_path = Path(meta_path) if meta_path else csv_path.with_suffix(".meta.json")
     dim = env.observation_dim
     header = ["step", "action_id", "axis", "angle"] + [f"obs{i}" for i in range(dim)]
     with open(csv_path, "w", newline="") as fh:
@@ -341,16 +324,15 @@ def save_trajectories(
         "steps_per_trajectory": trajectories[0].m if trajectories else 0,
         "observation_dim": dim,
     }
-    with open(meta_path, "w") as fh:
+    with open(csv_path.with_suffix(".meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
 
 
-def load_trajectories(csv_path, meta_path=None):
-    """Read back a trajectory CSV; returns (trajectories, metadata dict)."""
+def load_trajectories(csv_path):
+    """Read back a trajectory CSV and its sidecar; returns (trajectories, metadata dict)."""
     csv_path = Path(csv_path)
-    meta_path = Path(meta_path) if meta_path else csv_path.with_suffix(".meta.json")
-    with open(meta_path) as fh:
+    with open(csv_path.with_suffix(".meta.json")) as fh:
         meta = json.load(fh)
     continuous = meta["environment"]["type"] == "sphere"
     trajectories = []

@@ -24,22 +24,12 @@ from . import rotations
 from .environments import Trajectory, stack_batch
 from .tensor import Tensor, as_tensor, concat, gather_rows, matmul, add, relu, normalize_to_sphere, no_grad, reshape, sigmoid
 
-__all__ = [
-    "Linear",
-    "Encoder",
-    "Decoder",
-    "ActionTable",
-    "ContinuousActionNet",
-    "SymmetryModel",
-    "DirectPredictor",
-    "WeightsFormatError",
-    "save_weights",
-    "load_weights",
-    "write_atomic",
-]
-
 WEIGHTS_MAGIC = b"SYMR"
 WEIGHTS_VERSION = 1
+
+HIDDEN = 64  # hidden width of the encoder and decoder
+ACTION_HIDDEN = 32  # hidden width of the continuous action network
+INIT_SCALE = 0.1  # discrete action angles start uniform in [-INIT_SCALE, INIT_SCALE]
 
 
 class Linear:
@@ -60,11 +50,11 @@ class Linear:
 class Encoder:
     """Observation -> unit-norm latent vector (single hidden layer, ReLU)."""
 
-    def __init__(self, rng, obs_dim: int, latent_dim: int, hidden: int = 64):
+    def __init__(self, rng, obs_dim: int, latent_dim: int):
         self.obs_dim = obs_dim
         self.latent_dim = latent_dim
-        self.hidden = Linear(rng, obs_dim, hidden)
-        self.output = Linear(rng, hidden, latent_dim)
+        self.hidden = Linear(rng, obs_dim, HIDDEN)
+        self.output = Linear(rng, HIDDEN, latent_dim)
 
     def __call__(self, obs) -> Tensor:
         obs = as_tensor(obs)
@@ -83,11 +73,11 @@ class Encoder:
 class Decoder:
     """Latent vector -> observation logits, mirroring the encoder."""
 
-    def __init__(self, rng, latent_dim: int, obs_dim: int, hidden: int = 64):
+    def __init__(self, rng, latent_dim: int, obs_dim: int):
         self.latent_dim = latent_dim
         self.obs_dim = obs_dim
-        self.hidden = Linear(rng, latent_dim, hidden)
-        self.output = Linear(rng, hidden, obs_dim)
+        self.hidden = Linear(rng, latent_dim, HIDDEN)
+        self.output = Linear(rng, HIDDEN, obs_dim)
 
     def __call__(self, z) -> Tensor:
         z = as_tensor(z)
@@ -106,12 +96,12 @@ class Decoder:
 class ActionTable:
     """One learnable rotation-angle row per discrete action id."""
 
-    def __init__(self, rng, num_actions: int, latent_dim: int, init_scale: float = 0.1):
+    def __init__(self, rng, num_actions: int, latent_dim: int):
         self.num_actions = num_actions
         self.latent_dim = latent_dim
         q = rotations.plane_count(latent_dim)
         self.angles = Tensor(
-            rng.uniform(-init_scale, init_scale, size=(num_actions, q)), requires_grad=True
+            rng.uniform(-INIT_SCALE, INIT_SCALE, size=(num_actions, q)), requires_grad=True
         )
 
     def angles_for(self, action_ids) -> Tensor:
@@ -140,11 +130,11 @@ class ContinuousActionNet:
     The axis enters as a raw scalar (0, 1 or 2) alongside the angle.
     """
 
-    def __init__(self, rng, latent_dim: int, hidden: int = 32):
+    def __init__(self, rng, latent_dim: int):
         self.latent_dim = latent_dim
         q = rotations.plane_count(latent_dim)
-        self.hidden = Linear(rng, 2, hidden)
-        self.output = Linear(rng, hidden, q)
+        self.hidden = Linear(rng, 2, ACTION_HIDDEN)
+        self.output = Linear(rng, ACTION_HIDDEN, q)
 
     def angles_for(self, action_features) -> Tensor:
         feats = as_tensor(np.asarray(action_features, dtype=np.float64))
@@ -286,12 +276,12 @@ class DirectPredictor(_Predictor):
 
     kind = "direct"
 
-    def __init__(self, rng, obs_dim: int, num_actions: int, latent_dim: int = 4, hidden: int = 64):
+    def __init__(self, rng, obs_dim: int, num_actions: int, latent_dim: int = 4):
         self.obs_dim = obs_dim
         self.num_actions = num_actions
         self.latent_dim = latent_dim
-        self.encoder = Encoder(rng, obs_dim, latent_dim, hidden)
-        self.decoder = Decoder(rng, latent_dim + num_actions, obs_dim, hidden)
+        self.encoder = Encoder(rng, obs_dim, latent_dim)
+        self.decoder = Decoder(rng, latent_dim + num_actions, obs_dim)
 
     def _onehot(self, action_ids) -> np.ndarray:
         ids = np.asarray(action_ids)
@@ -306,15 +296,9 @@ class DirectPredictor(_Predictor):
         return hot
 
     def predict_logits(self, obs, action_ids) -> Tensor:
-        """Next-observation logits for a batch of (observation, action id) pairs."""
-        obs = as_tensor(obs)
-        batched = obs.data.ndim == 2
-        ids = np.atleast_1d(np.asarray(action_ids))
-        z = self.encoder(obs)
-        hot = self._onehot(ids)
-        if batched:
-            return self.decoder(concat([z, Tensor(hot)], axis=1))
-        return self.decoder(concat([z, Tensor(hot[0])], axis=0))
+        """Next-observation logits (B, obs_dim) for (B, obs_dim) observations and B action ids."""
+        hot = Tensor(self._onehot(action_ids))
+        return self.decoder(concat([self.encoder(obs), hot], axis=1))
 
     def rollout(self, first_obs, actions) -> Tensor:
         """Iterated one-step prediction from (B, obs_dim) observations and (B, m) ids.

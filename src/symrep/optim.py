@@ -2,85 +2,43 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["AdamState", "adam_step", "Adam"]
-
-
-@dataclass
-class AdamState:
-    """First/second moment estimates plus the shared step counter."""
-
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    step: int = 0
-
-    @classmethod
-    def for_arrays(cls, arrays: Sequence[np.ndarray]) -> "AdamState":
-        return cls(m=[np.zeros_like(a) for a in arrays], v=[np.zeros_like(a) for a in arrays])
-
-
-def adam_step(
-    params: Sequence[np.ndarray],
-    grads: Sequence[np.ndarray],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """One bias-corrected Adam update, applied in place to the parameter arrays."""
-    if not (len(params) == len(grads) == len(state.m) == len(state.v)):
-        raise ValueError(
-            f"optimiser state mismatch: {len(params)} params, {len(grads)} grads, "
-            f"{len(state.m)} moment pairs"
-        )
-    state.step += 1
-    c1 = 1.0 - beta1 ** state.step
-    c2 = 1.0 - beta2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class Adam:
-    """Adam over a fixed list of Tensor parameters; missing grads count as zero."""
+    """Bias-corrected Adam over a fixed list of Tensor parameters; missing grads count as zero.
 
-    def __init__(
-        self,
-        params: Sequence[Tensor],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    Holds the first and second moment estimates of every parameter and the
+    number of steps taken; each step updates the parameter arrays in place.
+    """
+
+    def __init__(self, params: Sequence[Tensor], lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.state = AdamState.for_arrays([p.data for p in self.params])
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.steps = 0
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
     def step(self) -> None:
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
-        adam_step(
-            [p.data for p in self.params],
-            grads,
-            self.state,
-            self.lr,
-            self.beta1,
-            self.beta2,
-            self.eps,
-        )
+        self.steps += 1
+        c1 = 1.0 - BETA1**self.steps
+        c2 = 1.0 - BETA2**self.steps
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)

@@ -28,18 +28,6 @@ import numpy as np
 
 from .tensor import Tensor, _node, as_tensor
 
-__all__ = [
-    "plane_indices",
-    "plane_count",
-    "latent_dim_for",
-    "plane_rotation",
-    "compose_representation",
-    "rotation_matrices",
-    "rotate_vectors",
-    "entanglement_penalty",
-    "canonical_angles",
-]
-
 
 def plane_indices(n: int) -> list[tuple[int, int]]:
     """All rotation planes (i, j), 1-based, 1 <= i < j <= n, in product order."""
@@ -124,15 +112,11 @@ def _compose_grad_batch(cos, sin, G, upstream, layers) -> np.ndarray:
     return grads
 
 
-def compose_representation(angles, n: int | None = None) -> np.ndarray:
+def compose_representation(angles) -> np.ndarray:
     """Ordered product of all planar rotations for one angle vector."""
     angles = np.asarray(angles, dtype=np.float64)
     if angles.ndim != 1:
         raise ValueError(f"expected a flat angle vector, got shape {angles.shape}")
-    if n is None:
-        n = latent_dim_for(angles.size)
-    elif plane_count(n) != angles.size:
-        raise ValueError(f"dimension {n} needs {plane_count(n)} angles, got {angles.size}")
     return rotation_matrices(angles).data
 
 

@@ -19,24 +19,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "as_tensor",
-    "add",
-    "mul",
-    "matmul",
-    "transpose",
-    "reshape",
-    "relu",
-    "normalize_to_sphere",
-    "bce_with_logits",
-    "gather_rows",
-    "concat",
-    "sigmoid",
-    "finite_diff_check",
-    "no_grad",
-]
-
 NORM_EPS = 1e-12
 
 
@@ -83,9 +65,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -127,30 +106,12 @@ class Tensor:
 
         return _node(self.data.mean(), (self,), backward)
 
-    # Operator sugar, matching numpy's elementwise semantics where supported.
+    # Operator sugar for ``a + b`` and for a number minus a tensor.
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(as_tensor(other), -1.0))
-
     def __rsub__(self, other):
         return add(as_tensor(other), mul(self, -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -287,18 +248,6 @@ def matmul(a, b) -> Tensor:
                 b._accumulate(g * ad)
 
     return _node(out, (a, b), backward)
-
-
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ValueError(f"transpose requires a matrix, got shape {a.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.T)
-
-    return _node(a.data.T, (a,), backward)
 
 
 def reshape(a, shape) -> Tensor:

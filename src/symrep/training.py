@@ -33,25 +33,6 @@ from .optim import Adam
 from .rotations import entanglement_penalty
 from .tensor import Tensor, bce_with_logits, gather_rows, mul, reshape
 
-__all__ = [
-    "EnvironmentSpec",
-    "ConstantSchedule",
-    "LinearRampSchedule",
-    "StepSchedule",
-    "lambda_at",
-    "AngleCurriculum",
-    "curriculum_range",
-    "TrainConfig",
-    "TrainReport",
-    "DivergenceError",
-    "rollout_loss",
-    "direct_prediction_loss",
-    "batch_entanglement",
-    "total_loss",
-    "build_model",
-    "train",
-]
-
 
 class DivergenceError(RuntimeError):
     """Raised when the reconstruction loss stops being finite."""

@@ -198,7 +198,7 @@ def test_criterion_2_structural_son_guarantee():
     worst_orth, worst_det = 0.0, 0.0
     for trial in range(1000):
         n = 2 + trial % 5
-        g = compose_representation(rng.uniform(-np.pi, np.pi, plane_count(n)), n)
+        g = compose_representation(rng.uniform(-np.pi, np.pi, plane_count(n)))
         worst_orth = max(worst_orth, np.linalg.norm(g.T @ g - np.eye(n), ord="fro"))
         worst_det = max(worst_det, abs(np.linalg.det(g) - 1.0))
     _report(

@@ -17,7 +17,7 @@ from symrep.config import (
 )
 from symrep.environments import load_trajectories, sample_trajectory, trajectory_rng
 from symrep.models import load_weights
-from symrep.training import LinearRampSchedule, StepSchedule, build_model
+from symrep.training import LinearRampSchedule, StepSchedule, build_model, default_lambda_schedule
 
 
 def tiny_config(**overrides):
@@ -73,6 +73,12 @@ class TestConfigParsing:
             tiny_config(lambda_schedule={"kind": "linear_ramp", "end_step": 2, "max_value": 0.2})
         )
         assert cfg.train.lambda_schedule == LinearRampSchedule(0, 2, 0.2)
+
+    @pytest.mark.parametrize("total_steps", [0, 1, 2, 3000])
+    def test_bare_linear_ramp_is_the_default_schedule(self, total_steps):
+        doc = tiny_config(total_steps=total_steps, lambda_schedule={"kind": "linear_ramp"})
+        cfg = parse_experiment_config(doc)
+        assert cfg.train.lambda_schedule == default_lambda_schedule(total_steps)
 
     def test_defaults_materialise_and_round_trip(self):
         cfg = parse_experiment_config({"environment": {"type": "factor"}, "n": 5})
@@ -188,6 +194,11 @@ class TestCmdTrain:
             ({"environment": {"type": "sphere"}, "curriculum": {"start_range": -1.0}}, "curriculum.start_range"),
             ({"environment": {"type": "sphere"}, "curriculum": {"end_range": float("inf")}}, "curriculum.end_range"),
             ({"environment": {"type": "sphere"}, "model": "direct"}, "model 'direct' needs discrete actions"),
+            ({"environment": {"type": "factor", "mixed": True, "mix_seed": -1}}, "environment.mix_seed must be >= 0"),
+            (
+                {"lambda_schedule": {"kind": "step", "switch_fraction": float("nan"), "low": 0.0, "high": 0.1}},
+                "lambda_schedule.switch_fraction must be finite",
+            ),
         ],
     )
     def test_values_training_cannot_use_exit_2(self, tmp_path, capsys, overrides, message):

@@ -113,15 +113,10 @@ class TestDirectPredictor:
         assert out1.shape == (3, 25)
         assert np.array_equal(out1.data, out2.data)
 
-    def test_single_observation_path(self):
-        model = DirectPredictor(rng(0), obs_dim=9, num_actions=4)
-        out = model.predict_logits(np.eye(9)[4], 2)
-        assert out.shape == (9,)
-
     def test_rejects_continuous_actions(self):
         model = DirectPredictor(rng(0), obs_dim=25, num_actions=4)
         with pytest.raises(ValueError, match="discrete"):
-            model.predict_logits(np.zeros(25), np.array([0.0, 1.5]))
+            model.predict_logits(np.zeros((1, 25)), np.array([1.5]))
 
     def test_predict_sequence_re_encodes_own_output(self):
         env = TorusWorld(5)
@@ -140,7 +135,7 @@ class TestRollout:
         if model.kind == "direct":
             obs, preds = traj.observations[0], []
             for action in traj.actions:
-                obs = sigmoid(model.predict_logits(obs, int(action)).data)
+                obs = sigmoid(model.predict_logits(obs[None], np.array([action])).data[0])
                 preds.append(obs)
             return np.stack(preds)
         z = model.encode(traj.observations[0]).data

@@ -1,7 +1,6 @@
 import numpy as np
-import pytest
 
-from symrep.optim import Adam, AdamState, adam_step
+from symrep.optim import BETA1, BETA2, EPS, Adam
 from symrep.tensor import Tensor
 
 
@@ -46,15 +45,37 @@ def test_quadratic_convergence_matches_scalar_reference():
     assert abs(p.data[0]) < 0.05
 
 
-def test_state_count_mismatch_rejected():
-    state = AdamState.for_arrays([np.zeros(2)])
-    with pytest.raises(ValueError, match="mismatch"):
-        adam_step([np.zeros(2), np.zeros(2)], [np.zeros(2), np.zeros(2)], state, lr=0.1)
+def test_parameters_of_several_shapes_follow_the_formula_exactly():
+    """Each step equals the update formula bit for bit; a parameter without a grad sees zeros."""
+    gen = np.random.default_rng(3)
+    shapes = [(3, 4), (4,), (2, 3), ()]
+    params = [Tensor(gen.standard_normal(shape), requires_grad=True) for shape in shapes]
+    lr = 0.02
+    opt = Adam(params, lr=lr)
+    w = [p.data.copy() for p in params]
+    m = [np.zeros_like(x) for x in w]
+    v = [np.zeros_like(x) for x in w]
+    for t in range(1, 6):
+        grads = [gen.standard_normal(shape) for shape in shapes]
+        grads[2] = None  # this parameter gets no gradient on any step
+        for p, g in zip(params, grads):
+            p.grad = None if g is None else g.copy()
+        opt.step()
+        for k, g in enumerate(grads):
+            g = np.zeros_like(w[k]) if g is None else g
+            m[k] = BETA1 * m[k] + (1.0 - BETA1) * g
+            v[k] = BETA2 * v[k] + (1.0 - BETA2) * g * g
+            m_hat = m[k] / (1.0 - BETA1**t)
+            v_hat = v[k] / (1.0 - BETA2**t)
+            w[k] = w[k] - lr * m_hat / (np.sqrt(v_hat) + EPS)
+            assert np.array_equal(params[k].data, w[k]), (t, k)
+            assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k]), (t, k)
 
 
 def test_step_counter_increments():
-    p = np.array([1.0])
-    state = AdamState.for_arrays([p])
-    adam_step([p], [np.array([0.1])], state, lr=0.01)
-    adam_step([p], [np.array([0.1])], state, lr=0.01)
-    assert state.step == 2
+    p = Tensor(np.array([1.0]), requires_grad=True)
+    opt = Adam([p], lr=0.01)
+    for _ in range(2):
+        p.grad = np.array([0.1])
+        opt.step()
+    assert opt.steps == 2

@@ -173,7 +173,7 @@ def test_structural_orthogonality_and_determinant(n, data):
             elements=st.floats(min_value=-10, max_value=10, allow_nan=False),
         )
     )
-    G = compose_representation(angles, n)
+    G = compose_representation(angles)
     assert frob(G.T @ G - np.eye(n)) < 1e-10
     assert abs(np.linalg.det(G) - 1.0) < 1e-10
 
